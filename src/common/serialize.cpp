@@ -133,8 +133,10 @@ std::vector<std::uint8_t> Writer::frame(
   TDP_REQUIRE(magic.size() == 4, "format magic must be exactly 4 bytes");
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderSize + payload.size() + kCrcSize);
-  out.insert(out.end(), magic.data(), magic.data() + 4);
+  // Size the header first and copy the magic into it: inserting into the
+  // empty reserved vector trips gcc 12's -Warray-bounds at -O3.
   out.resize(kHeaderSize);
+  std::memcpy(out.data(), magic.data(), 4);
   put_u32_at(out, 4, version);
   const std::uint64_t size = payload.size();
   for (int i = 0; i < 8; ++i) {

@@ -106,6 +106,7 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
       static_cast<long long>(stream * Rng::kStreamMul));
   const __m256i gamma_v = _mm256_set1_epi64x(
       static_cast<long long>(Rng::kGamma));
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
 
   for (std::size_t w = 0; w < (count + 63) / 64; ++w) active_mask[w] = 0;
 
@@ -124,7 +125,11 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
     // Screen while u is in registers: lane active iff u > screen[cls].
     const __m128i cls4 = _mm_loadu_si128(
         reinterpret_cast<const __m128i*>(cls + i));
-    const __m256d screen4 = _mm256_i32gather_pd(screen, cls4, 8);
+    // Masked form with a zero source and every lane enabled: the same
+    // four loads as _mm256_i32gather_pd, whose undefined source register
+    // gcc 12 reports as maybe-uninitialized.
+    const __m256d screen4 = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), screen, cls4, all_lanes, 8);
     const int lanes =
         _mm256_movemask_pd(_mm256_cmp_pd(u, screen4, _CMP_GT_OQ));
     active_mask[i / 64] |=

@@ -304,6 +304,51 @@ void KernelPlan::reduce_outflow(std::size_t from, FlowState& s) const {
   s.outflow[from] = total;
 }
 
+void KernelPlan::reduce_outflow4(std::size_t from0, FlowState& s) const {
+  const std::size_t n = periods_;
+  const double* r0 = &s.pair[from0 * n];
+  const double* r1 = r0 + n;
+  const double* r2 = r1 + n;
+  const double* r3 = r2 + n;
+  double a0 = 0.0;
+  double a1 = 0.0;
+  double a2 = 0.0;
+  double a3 = 0.0;
+  const auto add_column = [&](std::size_t to) {
+    a0 += r0[to];
+    a1 += r1[to];
+    a2 += r2[to];
+    a3 += r3[to];
+  };
+  for (std::size_t to = 0; to < from0; ++to) add_column(to);
+  // The 4x4 diagonal block: each row skips its own column.
+  const std::size_t d = from0;
+  a1 += r1[d];
+  a2 += r2[d];
+  a3 += r3[d];
+  a0 += r0[d + 1];
+  a2 += r2[d + 1];
+  a3 += r3[d + 1];
+  a0 += r0[d + 2];
+  a1 += r1[d + 2];
+  a3 += r3[d + 2];
+  a0 += r0[d + 3];
+  a1 += r1[d + 3];
+  a2 += r2[d + 3];
+  for (std::size_t to = from0 + 4; to < n; ++to) add_column(to);
+  s.outflow[from0] = a0;
+  s.outflow[from0 + 1] = a1;
+  s.outflow[from0 + 2] = a2;
+  s.outflow[from0 + 3] = a3;
+}
+
+void KernelPlan::reduce_outflow_rows(std::size_t begin, std::size_t end,
+                                     FlowState& s) const {
+  std::size_t from = begin;
+  for (; from + 4 <= end; from += 4) reduce_outflow4(from, s);
+  for (; from < end; ++from) reduce_outflow(from, s);
+}
+
 void KernelPlan::evaluate(const std::vector<double>& rewards,
                           bool with_derivatives, FlowState& s) const {
   const std::size_t n = periods_;
@@ -334,7 +379,7 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
   }
 #endif
   for (; i < n; ++i) reduce_inflow(i, with_derivatives, s);
-  for (std::size_t i2 = 0; i2 < n; ++i2) reduce_outflow(i2, s);
+  reduce_outflow_rows(0, n, s);
 }
 
 void KernelPlan::update_coordinate(std::size_t m, double reward,
@@ -356,10 +401,8 @@ void KernelPlan::update_coordinate(std::size_t m, double reward,
   // sums row `from` across columns including m, so every row containing
   // the refreshed column is re-reduced over cached values in the reference
   // order; outflow(m) itself excludes column m and is untouched.
-  for (std::size_t from = 0; from < periods_; ++from) {
-    if (from == m) continue;
-    reduce_outflow(from, s);
-  }
+  reduce_outflow_rows(0, m, s);
+  reduce_outflow_rows(m + 1, periods_, s);
 }
 
 UniformLagWeightTable::UniformLagWeightTable(WaitingFunctionPtr wf,

@@ -135,6 +135,15 @@ class KernelPlan {
   void reduce_inflow(std::size_t into, bool with_derivatives,
                      FlowState& state) const;
   void reduce_outflow(std::size_t from, FlowState& state) const;
+  /// Outflow sums of rows from0..from0+3 interleaved: each row keeps its
+  /// own accumulator and reduce_outflow's ascending-`to` order (skipping
+  /// its diagonal), so the sums are bitwise reduce_outflow's while four
+  /// independent add chains run at once instead of one.
+  void reduce_outflow4(std::size_t from0, FlowState& state) const;
+  /// Outflow sums of rows [begin, end): four-row blocks, then the
+  /// remainder rows through reduce_outflow.
+  void reduce_outflow_rows(std::size_t begin, std::size_t end,
+                           FlowState& state) const;
 
 #if defined(TDP_HAVE_AVX2)
   /// Vectorized fill_column body (kernel_plan_avx2.cpp, compiled -mavx2):

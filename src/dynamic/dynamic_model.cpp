@@ -21,6 +21,15 @@ double smooth_hinge_derivative(double y, double mu) {
   return y / mu;
 }
 
+/// db[m] = sigma * (db[m] + -row[m]) for every m: one step of the forward
+/// sensitivity sweep with the arrival Jacobian's off-diagonal form applied
+/// to the whole row. Branch-free over non-aliasing arrays, so it vectorizes;
+/// lanes are independent, so the bits match the scalar loop.
+void sensitivity_row(double* __restrict db, const double* __restrict row,
+                     double sigma, std::size_t n) {
+  for (std::size_t m = 0; m < n; ++m) db[m] = sigma * (db[m] + -row[m]);
+}
+
 }  // namespace
 
 DynamicModel::DynamicModel(DemandProfile arrivals,
@@ -290,8 +299,12 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
   // One warmup sweep computes the smoothed cost and the forward-accumulated
   // backlog sensitivities together; the arrival Jacobian rows are read
   // straight off the cached derivative matrix
-  // (darr[i][m] = inflow'(i) if m == i else -dV[i][m]).
+  // (darr[i][m] = inflow'(i) if m == i else -dV[i][m]). The diagonal is
+  // computed from the old dbacklog[i] before the branch-free row update
+  // and stored over that lane afterwards, so every element sees the
+  // reference's operations in the reference order.
   const double* dV = state.pair_derivative.data();
+  double* db = dbacklog.data();
   std::fill(grad.begin(), grad.end(), 0.0);
   double cost = 0.0;
   double backlog = 0.0;
@@ -301,16 +314,14 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
       const double pre = backlog + arr[i] - capacity_[i];
       const double sigma = smooth_hinge_derivative(pre, mu);
       backlog = smooth_hinge(pre, mu);
-      for (std::size_t m = 0; m < n; ++m) {
-        const double darr_im =
-            m == i ? state.inflow_derivative[i] : -dV[i * n + m];
-        dbacklog[m] = sigma * (dbacklog[m] + darr_im);
-      }
+      const double diagonal = sigma * (db[i] + state.inflow_derivative[i]);
+      sensitivity_row(db, dV + i * n, sigma, n);
+      db[i] = diagonal;
       if (last) {
         cost += cost_.smoothed_value(backlog, mu);
         const double fprime = cost_.smoothed_derivative(backlog, mu);
         for (std::size_t m = 0; m < n; ++m) {
-          grad[m] += fprime * dbacklog[m];
+          grad[m] += fprime * db[m];
         }
       }
     }

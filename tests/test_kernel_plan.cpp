@@ -146,8 +146,10 @@ void expect_state_matches(const ReferenceFlows& ref, const FlowState& state,
 
 TEST(KernelPlan, BitwiseIdentityAcrossConventionsFamiliesAndSizes) {
   Rng rng(2024);
+  // 7 and 13 leave remainder rows after the four-row outflow blocks.
   for (const std::size_t n : {std::size_t{2}, std::size_t{12},
-                              std::size_t{48}}) {
+                              std::size_t{48}, std::size_t{7},
+                              std::size_t{13}}) {
     for (const WfFamily family : {WfFamily::kLinearPower,
                                   WfFamily::kNonlinearPower,
                                   WfFamily::kCallable}) {
@@ -183,7 +185,8 @@ TEST(KernelPlan, BitwiseIdentityAcrossConventionsFamiliesAndSizes) {
 TEST(KernelPlan, IncrementalCoordinateUpdateIsBitIdenticalToFullEvaluate) {
   Rng rng(99);
   for (const std::size_t n : {std::size_t{2}, std::size_t{12},
-                              std::size_t{48}}) {
+                              std::size_t{48}, std::size_t{7},
+                              std::size_t{13}}) {
     for (const WfFamily family :
          {WfFamily::kLinearPower, WfFamily::kNonlinearPower}) {
       const DeferralKernel kernel(
@@ -450,6 +453,73 @@ TEST(DynamicModelFused, CostAndGradientBitIdenticalToReference) {
   }
 }
 
+/// Shaped like the horizon driver's re-estimated model, the linear
+/// (gamma = 1) form every production DynamicModel takes: 48 periods, one
+/// class per period sharing a single power-law waiting function, warmup 6.
+DynamicModel linear_estimated_model() {
+  const std::size_t n = 48;
+  const std::vector<double> volumes = paper::table5_demand_48();
+  const WaitingFunctionPtr waiting = std::make_shared<PowerLawWaitingFunction>(
+      1.8, n, paper::kStaticNormalizationReward, 1.0,
+      LagNormalization::kContinuous);
+  DemandProfile profile(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    profile.add_class(p, SessionClass{waiting, volumes[p]});
+  }
+  return DynamicModel(
+      std::move(profile), paper::kDynamicCapacityUnits,
+      math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0),
+      /*warmup_days=*/6);
+}
+
+/// Periods, over every warmup day, whose smoothed backlog recursion lands
+/// strictly inside the smoothing band (0 < pre < mu, so 0 < sigma < 1).
+std::size_t smoothing_band_hits(const DynamicModel& model,
+                                const math::Vector& rewards, double mu) {
+  const math::Vector arrivals = model.evaluate(rewards).arrivals;
+  std::size_t hits = 0;
+  double backlog = 0.0;
+  for (std::size_t day = 0; day < model.warmup_days(); ++day) {
+    for (std::size_t i = 0; i < model.periods(); ++i) {
+      const double pre = backlog + arrivals[i] - model.capacity()[i];
+      if (pre > 0.0 && pre < mu) ++hits;
+      backlog = pre <= 0.0 ? 0.0
+                : pre >= mu ? pre - 0.5 * mu
+                            : pre * pre / (2.0 * mu);
+    }
+  }
+  return hits;
+}
+
+TEST(DynamicModelFused, LinearEstimatedModelGradientBitIdenticalToReference) {
+  const DynamicModel model = linear_estimated_model();
+  ASSERT_TRUE(model.kernel().linear());
+  Rng rng(48);
+  FlowState state;
+  const std::size_t n = model.periods();
+  const double cap = model.reward_cap();
+  std::size_t band_hits = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const math::Vector rewards = random_rewards(rng, n, cap);
+    for (double mu : {1.0, 1e-3}) {
+      band_hits += smoothing_band_hits(model, rewards, mu);
+      EXPECT_EQ(model.smoothed_cost(rewards, mu),
+                model.smoothed_cost(rewards, mu, state));
+      math::Vector ref_grad(n, 0.0);
+      math::Vector fused_grad(n, 0.0);
+      model.smoothed_gradient(rewards, mu, ref_grad);
+      const double fused_value =
+          model.smoothed_cost_and_gradient(rewards, mu, fused_grad, state);
+      EXPECT_EQ(model.smoothed_cost(rewards, mu), fused_value);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(ref_grad[i], fused_grad[i]) << "grad " << i << " mu " << mu;
+      }
+    }
+  }
+  // The sweep's sigma must take fractional values, not only 0 and 1.
+  EXPECT_GT(band_hits, 0u);
+}
+
 TEST(DynamicModelFused, CoordinateUpdateCostMatchesReference) {
   const DynamicModel model = nonlinear_dynamic_model();
   Rng rng(31);
@@ -471,6 +541,22 @@ TEST(DynamicOptimizerFused, SolutionBitIdenticalToReferencePath) {
   DynamicOptimizerOptions fused;
   fused.fused = true;
   fused.fista.max_iterations = 600;
+  DynamicOptimizerOptions reference = fused;
+  reference.fused = false;
+  const DynamicPricingSolution a = optimize_dynamic_prices(model, fused);
+  const DynamicPricingSolution b = optimize_dynamic_prices(model, reference);
+  for (std::size_t i = 0; i < a.rewards.size(); ++i) {
+    EXPECT_EQ(a.rewards[i], b.rewards[i]) << "reward " << i;
+  }
+  EXPECT_EQ(a.evaluation.total_cost, b.evaluation.total_cost);
+  EXPECT_EQ(a.iterations, b.iterations);
+}
+
+TEST(DynamicOptimizerFused, LinearEstimatedModelSolutionBitIdentical) {
+  const DynamicModel model = linear_estimated_model();
+  DynamicOptimizerOptions fused;
+  fused.fused = true;
+  fused.fista.max_iterations = 300;
   DynamicOptimizerOptions reference = fused;
   reference.fused = false;
   const DynamicPricingSolution a = optimize_dynamic_prices(model, fused);
