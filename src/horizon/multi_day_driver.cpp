@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "core/paper_data.hpp"
 #include "core/waiting_function.hpp"
 #include "estimation/wf_estimator.hpp"
@@ -21,8 +20,6 @@ namespace tdp::horizon {
 namespace {
 
 struct HorizonCounters {
-  obs::Counter& periods =
-      obs::Registry::global().counter("horizon.periods_total");
   obs::Counter& days = obs::Registry::global().counter("horizon.days_total");
   obs::Counter& estimates =
       obs::Registry::global().counter("horizon.estimates_total");
@@ -32,12 +29,6 @@ struct HorizonCounters {
       obs::Registry::global().counter("horizon.checkpoints_total");
   obs::Counter& restores =
       obs::Registry::global().counter("horizon.restores_total");
-  obs::Counter& gaps =
-      obs::Registry::global().counter("horizon.measurement_gaps_total");
-  obs::Counter& stripes_lost =
-      obs::Registry::global().counter("horizon.stripes_lost_total");
-  obs::Counter& mech_settles =
-      obs::Registry::global().counter("mech.settles_total");
   obs::Counter& adaptations =
       obs::Registry::global().counter("mech.adaptations_total");
   obs::Counter& frozen =
@@ -55,26 +46,43 @@ HorizonCounters& horizon_counters() {
   return counters;
 }
 
-/// Canonical slice count (same rule as FleetDriver): an explicit override
-/// (the checkpointed layout) wins, else config.slices, else one slice per
-/// shard; always clamped to [1, users].
-std::size_t effective_slices(const HorizonConfig& config,
-                             std::size_t slice_override,
-                             std::uint64_t users) {
-  std::size_t requested = slice_override;
-  if (requested == 0) {
-    requested = config.slices != 0 ? config.slices
-                                   : std::max<std::size_t>(config.shards, 1);
-  }
-  return std::min<std::size_t>(std::max<std::size_t>(requested, 1),
-                               static_cast<std::size_t>(users));
+/// The engine's share of the horizon configuration (same fields, same
+/// meaning; the horizon's own knobs stay in HorizonConfig).
+fleet::FleetDriverConfig engine_config(const HorizonConfig& config) {
+  fleet::FleetDriverConfig engine;
+  engine.population = config.population;
+  engine.shards = config.shards;
+  engine.slices = config.slices;
+  engine.threads = config.threads;
+  engine.warmup_days = config.warmup_days;
+  engine.online_pricing = config.online_pricing;
+  engine.offline_options = config.offline_options;
+  engine.mechanism = config.mechanism;
+  engine.fault = config.fault;
+  engine.resilience = config.resilience;
+  engine.measurement_guard = config.measurement_guard;
+  engine.pricer_guard = config.pricer_guard;
+  engine.incident = config.incident;
+  return engine;
 }
 
-PricerGuardConfig guard_config_for(const HorizonConfig& config,
-                                   const FaultInjector& injector) {
-  return config.pricer_guard.value_or(injector.enabled()
-                                          ? PricerGuardConfig::protective()
-                                          : PricerGuardConfig{});
+/// The estimated fluid model: one tied class per period at the window's
+/// mean TIP volumes, with the baseline's capacity and cost.
+DynamicModel estimated_model(const fleet::Population& population, double beta,
+                             const std::vector<double>& volumes) {
+  const std::size_t n = population.periods();
+  TDP_REQUIRE(volumes.size() == n, "estimated volumes size mismatch");
+  DemandProfile profile(n);
+  const WaitingFunctionPtr waiting =
+      std::make_shared<PowerLawWaitingFunction>(
+          beta, n, paper::kStaticNormalizationReward, 1.0,
+          LagNormalization::kContinuous);
+  for (std::size_t p = 0; p < n; ++p) {
+    profile.add_class(p, SessionClass{waiting, volumes[p]});
+  }
+  const DynamicModel baseline = fleet::baseline_fluid_model(population);
+  return DynamicModel(std::move(profile), baseline.capacity(),
+                      baseline.backlog_cost(), baseline.warmup_days());
 }
 
 double linf_distance(const math::Vector& a, const math::Vector& b) {
@@ -83,19 +91,6 @@ double linf_distance(const math::Vector& a, const math::Vector& b) {
     worst = std::max(worst, std::abs(a[i] - b[i]));
   }
   return worst;
-}
-
-/// The incident engine keeps its own Health enum (it sits below the
-/// pricing layers); the driver maps the pricer's ladder over.
-obs::incident::Health map_health(PricerHealth health) {
-  switch (health) {
-    case PricerHealth::kHealthy:
-      return obs::incident::Health::kHealthy;
-    case PricerHealth::kDegraded:
-      return obs::incident::Health::kDegraded;
-    default:
-      return obs::incident::Health::kFallback;
-  }
 }
 
 /// Restore-time validation: the checkpoint must describe the same
@@ -205,109 +200,63 @@ HorizonConfig validate_restore(HorizonConfig config,
 
 }  // namespace
 
-MultiDayDriver::MultiDayDriver(HorizonConfig config,
-                               std::size_t slice_override)
+MultiDayDriver::MultiDayDriver(
+    HorizonConfig config, std::size_t slice_override,
+    const fleet::PeriodEngine::MechanismFactory& make_mechanism)
     : config_(std::move(config)),
-      population_(config_.population),
-      injector_(config_.fault),
-      channel_(config_.population.periods),
-      fanout_(channel_, paper::kPatienceIndices.size()),
-      guard_(population_.expected_demand_units(), config_.measurement_guard),
-      aggregator_(
-          effective_slices(config_, slice_override, population_.users()),
-          population_.periods()),
-      threads_(config_.threads == 0 ? default_thread_count()
-                                    : config_.threads) {
+      engine_(engine_config(config_), slice_override, make_mechanism) {
   TDP_REQUIRE(config_.horizon_days >= 1, "horizon needs at least one day");
   TDP_REQUIRE(config_.estimation_window >= 1 &&
                   config_.estimation_min_days >= 1 &&
                   config_.estimation_starts >= 1,
               "estimation settings must be positive");
-  channel_.set_resilience(config_.resilience);
-  if (injector_.enabled()) channel_.set_fault_injector(&injector_);
-
-  const std::size_t slices = aggregator_.stripes();
-  const std::size_t shard_count =
-      std::min<std::size_t>(std::max<std::size_t>(config_.shards, 1), slices);
-  // Built on the pool so each shard's arena pages are first-touched by a
-  // worker (see fleet::Shard's ctor comment on NUMA placement).
-  shards_.resize(shard_count);
-  parallel_for(
-      shard_count,
-      [&](std::size_t s) {
-        const std::size_t begin = slices * s / shard_count;
-        const std::size_t end = slices * (s + 1) / shard_count;
-        shards_[s] = std::make_unique<fleet::Shard>(population_, begin, end,
-                                                    slices);
-      },
-      threads_);
   TDP_REQUIRE(!config_.adaptive_users ||
                   (config_.adaptation_rate > 0.0 &&
                    config_.adaptation_rate <= 1.0 &&
                    config_.adaptation_gain >= 0.0),
               "adaptation settings out of range");
-  adapt_scale_.assign(population_.patience_classes(), 1.0);
-  if (config_.incident.enabled) {
-    incident_ =
-        std::make_unique<obs::incident::IncidentEngine>(config_.incident);
+  adapt_scale_.assign(engine_.population().patience_classes(), 1.0);
+  if (!config_.checkpoint_path.empty()) {
+    stream_ = std::make_unique<CheckpointStream>(config_.checkpoint_path);
   }
 }
 
 const OnlinePricer& MultiDayDriver::pricer() const {
-  const OnlinePricer* pricer = mechanism_->online_pricer();
+  const OnlinePricer* pricer = engine_.mechanism().online_pricer();
   TDP_REQUIRE(pricer != nullptr,
               "pricer() needs the tube_online mechanism; use mechanism()");
   return *pricer;
 }
 
 MultiDayDriver::MultiDayDriver(HorizonConfig config)
-    : MultiDayDriver(std::move(config), /*slice_override=*/0) {
-  mechanism_ = mech::make_mechanism(
-      config_.mechanism, fleet::baseline_fluid_model(population_),
-      config_.offline_options, guard_config_for(config_, injector_));
-  if (!config_.checkpoint_path.empty()) {
-    stream_ = std::make_unique<CheckpointStream>(config_.checkpoint_path);
-  }
-  TDP_LOG_INFO << "horizon: " << population_.users() << " users, "
+    : MultiDayDriver(std::move(config), /*slice_override=*/0, {}) {
+  TDP_LOG_INFO << "horizon: " << engine_.population().users() << " users, "
                << config_.warmup_days << "+" << config_.horizon_days
-               << " days over " << aggregator_.stripes() << " slices in "
-               << shards_.size() << " shards under "
-               << mechanism_->name();
+               << " days over " << engine_.slice_count() << " slices in "
+               << engine_.shard_count() << " shards under "
+               << engine_.mechanism().name();
 }
 
 MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
                                const CheckpointData& data,
                                bool restore_counters)
-    : MultiDayDriver(validate_restore(std::move(config), data), data.slices) {
+    // The engine builds the mechanism during construction; config_ is
+    // already initialized by then (it precedes engine_).
+    : MultiDayDriver(validate_restore(std::move(config), data), data.slices,
+                     [this, &data](const fleet::Population& population,
+                                   const PricerGuardConfig& guard) {
+                       return restore_mechanism(population, guard, data);
+                     }) {
   // Per-slice rings regroup onto whatever shards this run configured.
-  for (const auto& shard : shards_) {
-    for (std::size_t s = shard->begin_slice(); s < shard->end_slice(); ++s) {
-      shard->restore_slice_rings(s, data.ring_work[s], data.ring_reward[s]);
-    }
-    shard->set_ring_head(data.ring_head);
-  }
-
-  channel_.restore_state(data.channel);
-  fanout_.restore_schedules(data.fanout_schedules);
-  guard_.restore_state(data.guard);
+  engine_.restore_state({data.ring_head, data.ring_work, data.ring_reward,
+                         data.channel, data.fanout_schedules, data.guard});
 
   model_source_ = data.model_source;
   model_beta_ = data.model_beta;
   model_volumes_ = data.model_volumes;
-  if (config_.mechanism.kind == mech::MechanismKind::kTubeOnline) {
-    // The pricer section carries the full online-pricer state; rebuilding
-    // through it keeps kill-and-restore bitwise.
-    mechanism_ = std::make_unique<mech::TubeOnlineMechanism>(
-        OnlinePricer::restore(rebuild_model(), data.pricer,
-                              guard_config_for(config_, injector_)));
-  } else {
-    mechanism_ = mech::make_mechanism(
-        config_.mechanism, rebuild_model(), config_.offline_options,
-        guard_config_for(config_, injector_));
-    mechanism_->restore_state(data.mech_state);
-  }
   if (config_.adaptive_users) {
-    TDP_REQUIRE(data.adapt_scale.size() == population_.patience_classes(),
+    TDP_REQUIRE(data.adapt_scale.size() ==
+                    engine_.population().patience_classes(),
                 "checkpoint adaptive scale does not match the population");
     adapt_scale_ = data.adapt_scale;
   }
@@ -326,11 +275,11 @@ MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
   day_started_ = period_ > 0;
   if (day_started_) build_drift_tables();
 
-  if (incident_ != nullptr) {
+  if (obs::incident::IncidentEngine* incident = engine_.incident()) {
     // Detector accumulators, burn windows, and the recorder ring resume
     // exactly where the checkpoint froze them, so the continued alert
     // stream is bitwise the uninterrupted one.
-    incident_->restore_state(data.incident);
+    incident->restore_state(data.incident);
   }
 
   if (restore_counters) {
@@ -339,10 +288,26 @@ MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
       registry.set_counter_value(name, value);
     }
   }
-  if (!config_.checkpoint_path.empty()) {
-    stream_ = std::make_unique<CheckpointStream>(config_.checkpoint_path);
-  }
   horizon_counters().restores.add(1);
+}
+
+std::unique_ptr<mech::PricingMechanism> MultiDayDriver::restore_mechanism(
+    const fleet::Population& population, const PricerGuardConfig& guard,
+    const CheckpointData& data) const {
+  DynamicModel model =
+      data.model_source == ModelSource::kEstimated
+          ? estimated_model(population, data.model_beta, data.model_volumes)
+          : fleet::baseline_fluid_model(population);
+  if (config_.mechanism.kind == mech::MechanismKind::kTubeOnline) {
+    // The pricer section carries the full online-pricer state; rebuilding
+    // through it keeps kill-and-restore bitwise.
+    return std::make_unique<mech::TubeOnlineMechanism>(
+        OnlinePricer::restore(std::move(model), data.pricer, guard));
+  }
+  std::unique_ptr<mech::PricingMechanism> mechanism = mech::make_mechanism(
+      config_.mechanism, std::move(model), config_.offline_options, guard);
+  mechanism->restore_state(data.mech_state);
+  return mechanism;
 }
 
 std::unique_ptr<MultiDayDriver> MultiDayDriver::restore(
@@ -357,38 +322,16 @@ std::unique_ptr<MultiDayDriver> MultiDayDriver::restore(
   return restore(std::move(config), decode(bytes), restore_counters);
 }
 
-DynamicModel MultiDayDriver::estimated_model(
-    double beta, const std::vector<double>& volumes) const {
-  const std::size_t n = population_.periods();
-  TDP_REQUIRE(volumes.size() == n, "estimated volumes size mismatch");
-  DemandProfile profile(n);
-  const WaitingFunctionPtr waiting =
-      std::make_shared<PowerLawWaitingFunction>(
-          beta, n, paper::kStaticNormalizationReward, 1.0,
-          LagNormalization::kContinuous);
-  for (std::size_t p = 0; p < n; ++p) {
-    profile.add_class(p, SessionClass{waiting, volumes[p]});
-  }
-  const DynamicModel baseline = fleet::baseline_fluid_model(population_);
-  return DynamicModel(std::move(profile), baseline.capacity(),
-                      baseline.backlog_cost(), baseline.warmup_days());
-}
-
-DynamicModel MultiDayDriver::rebuild_model() const {
-  if (model_source_ == ModelSource::kEstimated) {
-    return estimated_model(model_beta_, model_volumes_);
-  }
-  return fleet::baseline_fluid_model(population_);
-}
-
 void MultiDayDriver::build_drift_tables() {
   drift_tables_.clear();
-  const std::size_t classes = population_.patience_classes();
+  const fleet::Population& population = engine_.population();
+  const FaultInjector& injector = engine_.injector();
+  const std::size_t classes = population.patience_classes();
   std::vector<double> scale(classes, 1.0);
   bool all_one = true;
-  if (injector_.plan().drifts()) {
+  if (injector.plan().drifts()) {
     for (std::uint32_t c = 0; c < classes; ++c) {
-      scale[c] = injector_.beta_drift_scale(c, static_cast<std::size_t>(day_));
+      scale[c] = injector.beta_drift_scale(c, static_cast<std::size_t>(day_));
     }
   }
   // Adaptive users compose with injected drift: drift is the world
@@ -398,130 +341,52 @@ void MultiDayDriver::build_drift_tables() {
     if (scale[c] != 1.0) all_one = false;
   }
   if (all_one) return;  // bitwise identical to an undrifted population
-  drift_tables_ = population_.scaled_lag_tables(scale);
+  drift_tables_ = population.scaled_lag_tables(scale);
 }
 
 void MultiDayDriver::start_day() {
   day_started_ = true;
   build_drift_tables();
-  const std::size_t n = population_.periods();
+  const std::size_t n = engine_.population().periods();
   partial_ = DayMetrics{};
   partial_.day = day_;
   partial_.offered_units.assign(n, 0.0);
   partial_.realized_units.assign(n, 0.0);
   partial_.rewards.assign(n, 0.0);
-  const math::Vector& rewards = mechanism_->rewards();
+  const math::Vector& rewards = engine_.mechanism().rewards();
   if (has_prev_day_start_) {
     partial_.reward_step_linf =
         linf_distance(rewards, prev_day_start_rewards_);
   }
   prev_day_start_rewards_ = rewards;
   has_prev_day_start_ = true;
-}
-
-MultiDayDriver::Observation MultiDayDriver::observe(
-    std::size_t period, std::uint64_t abs_period, double calibration,
-    const fleet::PeriodStats& merged) const {
-  Observation obs;
-  if (!injector_.enabled()) {
-    obs.sample = merged.offered_work * calibration;
-    return obs;
-  }
-  // Identical discipline to FleetDriver::observe — slices are the
-  // measurement fault domains, the aggregate stream is one more on top —
-  // so a single-day chaos run and day 0 of a horizon run see the same
-  // faults at the same sites.
-  fleet::PeriodStats survived;
-  for (std::size_t s = 0; s < aggregator_.stripes(); ++s) {
-    if (injector_.measurement_fault(s, abs_period) ==
-        FaultInjector::MeasurementFault::kLost) {
-      ++obs.lost_stripes;
-      continue;
-    }
-    survived += aggregator_.stripe(s, period);
-  }
-  const double value = survived.offered_work * calibration;
-  const FaultInjector::MeasurementFault fault = injector_.measurement_fault(
-      FaultInjector::kAggregateEntity, abs_period);
-  if (fault == FaultInjector::MeasurementFault::kLost) return obs;
-  obs.sample = injector_.corrupt(fault, value);
-  return obs;
+  engine_.publish_day(static_cast<std::size_t>(day_));
 }
 
 void MultiDayDriver::step_period() {
   TDP_REQUIRE(!done(), "the horizon is complete");
   if (!day_started_) start_day();
 
-  const std::size_t n = population_.periods();
-  const std::size_t classes = population_.patience_classes();
-  const double calibration = population_.unit_calibration();
-  const std::uint64_t abs_period = day_ * n + period_;
-  HorizonCounters& hc = horizon_counters();
-  hc.periods.add(1);
-
-  SubscriberTelemetry chan_before;
-  if (incident_ != nullptr) chan_before = fanout_.total_telemetry();
-
-  channel_.publish(mechanism_->rewards());
-  fanout_.sync(static_cast<std::size_t>(abs_period));
-  std::vector<const math::Vector*> schedules(classes);
-  for (std::size_t c = 0; c < classes; ++c) {
-    schedules[c] = &fanout_.schedule(c);
-  }
-  const fleet::DeferralTable table(
-      population_, schedules, period_,
+  // The engine also feeds the incident engine's period signals before the
+  // clock rolls, so a checkpoint committed at this period boundary carries
+  // this period's alerts (kill/restore bit-identity).
+  const fleet::PeriodEngine::PeriodResult r = engine_.step_period(
+      static_cast<std::size_t>(day_), period_,
       drift_tables_.empty() ? nullptr : &drift_tables_);
-
-  parallel_for(
-      shards_.size(),
-      [&](std::size_t s) {
-        shards_[s]->simulate_period(static_cast<std::size_t>(day_), period_,
-                                   table, aggregator_);
-      },
-      threads_);
-
-  const fleet::PeriodStats merged = aggregator_.merged(period_);
-  partial_.sessions += merged.sessions;
-  partial_.deferred_sessions += merged.deferred_sessions;
-  partial_.offered_units[period_] = merged.offered_work * calibration;
-  partial_.realized_units[period_] = merged.realized_work * calibration;
-  partial_.reward_paid_units += merged.reward_paid * calibration;
+  partial_.sessions += r.merged.sessions;
+  partial_.deferred_sessions += r.merged.deferred_sessions;
+  partial_.offered_units[period_] = r.offered_units;
+  partial_.realized_units[period_] = r.realized_units;
+  partial_.reward_paid_units += r.reward_paid_units;
   // The reward this period's index published when the period ran — the
   // schedule users responded to, and the estimator's p_k for this day.
-  partial_.rewards[period_] = mechanism_->rewards()[period_];
-
-  bool sig_gap = false;
-  bool sig_repaired = false;
-  std::size_t sig_lost = 0;
-  if (config_.online_pricing) {
-    const Observation obs = observe(period_, abs_period, calibration, merged);
-    sig_lost = obs.lost_stripes;
-    if (obs.lost_stripes > 0) {
-      hc.stripes_lost.add_always(obs.lost_stripes);
-    }
-    if (!obs.sample.has_value()) {
-      hc.gaps.add_always(1);
-      sig_gap = true;
-      mechanism_->observe_missed(period_);
-    } else {
-      const MeasurementGuard::Admitted admitted =
-          guard_.admit(period_, obs.sample);
-      sig_repaired = admitted.degraded;
-      const std::size_t budget =
-          injector_.exhaust_solver(abs_period)
-              ? injector_.plan().solver_starved_budget
-              : mechanism_->solver_budget();
-      mechanism_->observe_period(period_, admitted.value,
-                                 admitted.degraded || obs.lost_stripes > 0,
-                                 budget);
-    }
-  }
+  partial_.rewards[period_] = r.published_reward;
 
   // Health tracking for the storm gates. Runs only when a gate is
   // configured so ungated runs keep fallback_periods/healthy_streak at
   // zero and their checkpoints stay byte-identical to format v1.
   if (health_gated() && config_.online_pricing) {
-    switch (mechanism_->health()) {
+    switch (engine_.mechanism().health()) {
       case PricerHealth::kHealthy:
         ++healthy_streak_periods_;
         break;
@@ -535,39 +400,8 @@ void MultiDayDriver::step_period() {
     }
   }
 
-  if (incident_ != nullptr) {
-    // Fed before the clock rolls so a checkpoint committed at this period
-    // boundary carries this period's alerts (kill/restore bit-identity).
-    const SubscriberTelemetry chan = fanout_.total_telemetry();
-    obs::incident::PeriodSignals sig;
-    sig.day = day_;
-    sig.period = static_cast<std::uint32_t>(period_);
-    sig.abs_period = abs_period;
-    sig.offered_units = partial_.offered_units[period_];
-    sig.realized_units = partial_.realized_units[period_];
-    sig.measurement_gap = sig_gap;
-    sig.measurement_repaired = sig_repaired;
-    sig.lost_stripes = sig_lost;
-    sig.price_groups = fanout_.groups();
-    sig.failed_attempts = chan.dropped_attempts - chan_before.dropped_attempts;
-    sig.degraded_groups = (chan.stale_periods - chan_before.stale_periods) +
-                          (chan.fallback_periods -
-                           chan_before.fallback_periods) +
-                          (chan.skewed_periods - chan_before.skewed_periods);
-    sig.solver_starved =
-        config_.online_pricing && injector_.exhaust_solver(abs_period);
-    sig.health = map_health(mechanism_->health());
-    sig.storm_blackout = injector_.storm_active(
-        FaultInjector::StormDomain::kBlackout, abs_period);
-    sig.storm_channel = injector_.storm_active(
-        FaultInjector::StormDomain::kChannel, abs_period);
-    sig.storm_solver = injector_.storm_active(
-        FaultInjector::StormDomain::kSolver, abs_period);
-    incident_->observe_period(sig);
-  }
-
   ++period_;
-  if (period_ == n) finish_day();
+  if (period_ == engine_.population().periods()) finish_day();
   maybe_stream_commit();
 }
 
@@ -580,9 +414,9 @@ void MultiDayDriver::maybe_stream_commit() {
   if (!day_boundary && !periodic) return;
   const auto start = std::chrono::steady_clock::now();
   stream_->commit(checkpoint(), day_boundary);
-  if (incident_ != nullptr) {
+  if (obs::incident::IncidentEngine* incident = engine_.incident()) {
     // Wall clock — advisory only; never enters the deterministic streams.
-    incident_->note_commit_latency(
+    incident->note_commit_latency(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count());
@@ -591,7 +425,7 @@ void MultiDayDriver::maybe_stream_commit() {
 }
 
 void MultiDayDriver::finish_day() {
-  const std::size_t n = population_.periods();
+  const std::size_t n = engine_.population().periods();
   partial_.peak_to_average_tip =
       fleet::peak_to_average(partial_.offered_units);
   partial_.peak_to_average_tdp =
@@ -600,30 +434,11 @@ void MultiDayDriver::finish_day() {
   // Settle the finished day with the mechanism first: a settle that moves
   // the schedule (the rebate's share re-fit) must land before estimation
   // so tomorrow's publishes and the next day-start L-inf see it.
-  {
-    mech::DaySettlement settlement;
-    settlement.offered_units = partial_.offered_units;
-    settlement.realized_units = partial_.realized_units;
-    settlement.reward_paid_units = partial_.reward_paid_units;
-    const mech::SettleInfo settle = mechanism_->settle_day(settlement);
-    horizon_counters().mech_settles.add(1);
-    obs::journal_record(
-        "mech.settle", -1, -1, mechanism_->name(),
-        {{"day", static_cast<double>(day_)},
-         {"budget_spent", settle.budget_spent},
-         {"budget_pool", settle.budget_pool},
-         {"schedule_changed", settle.schedule_changed ? 1.0 : 0.0}});
-    if (incident_ != nullptr) {
-      obs::incident::SettleSignals sig;
-      sig.day = day_;
-      sig.abs_period = day_ * n + (n - 1);
-      sig.schedule_changed = settle.schedule_changed;
-      sig.books_held = settle.books_held;
-      sig.budget_spent = settle.budget_spent;
-      sig.budget_pool = settle.budget_pool;
-      incident_->observe_settle(sig);
-    }
-  }
+  mech::DaySettlement settlement;
+  settlement.offered_units = partial_.offered_units;
+  settlement.realized_units = partial_.realized_units;
+  settlement.reward_paid_units = partial_.reward_paid_units;
+  engine_.settle_day(static_cast<std::size_t>(day_), settlement);
 
   // User adaptation: pull every class's patience index toward the target
   // implied by the day's mean published reward (higher rewards -> lower
@@ -698,7 +513,7 @@ void MultiDayDriver::finish_day() {
       WaitingFunctionEstimator::MultiStartOptions options;
       options.starts = config_.estimation_starts;
       options.seed = 1;
-      options.threads = threads_;
+      options.threads = engine_.thread_count();
       options.tied = true;
       const WaitingFunctionEstimate estimate =
           estimator.estimate_multistart(tip, data, options);
@@ -709,7 +524,7 @@ void MultiDayDriver::finish_day() {
 
       // Re-anchoring is an online-pricer concern; mechanisms without one
       // (flat, rebate, oracle) keep their own schedules.
-      OnlinePricer* online = mechanism_->online_pricer();
+      OnlinePricer* online = engine_.mechanism().online_pricer();
       if (config_.reanchor && config_.online_pricing && online != nullptr &&
           std::isfinite(partial_.beta_estimate) &&
           partial_.beta_estimate > 0.0) {
@@ -732,8 +547,8 @@ void MultiDayDriver::finish_day() {
           // adopt only when its own objective says the new schedule beats
           // the anchored one (within tolerance). A re-fit poisoned by
           // residual storm corruption predicts a worse day and rolls back.
-          DynamicModel candidate = estimated_model(partial_.beta_estimate,
-                                                   tip);
+          DynamicModel candidate = estimated_model(
+              engine_.population(), partial_.beta_estimate, tip);
           const DynamicPricingSolution solved =
               optimize_dynamic_prices(candidate, config_.offline_options);
           const double candidate_cost = candidate.total_cost(solved.rewards);
@@ -765,8 +580,10 @@ void MultiDayDriver::finish_day() {
           model_beta_ = partial_.beta_estimate;
           model_volumes_ = tip;
           model_source_ = ModelSource::kEstimated;
-          online->adopt_model(estimated_model(model_beta_, model_volumes_),
-                              config_.offline_options);
+          online->adopt_model(
+              estimated_model(engine_.population(), model_beta_,
+                              model_volumes_),
+              config_.offline_options);
           partial_.reanchored = true;
           horizon_counters().reanchors.add(1);
         }
@@ -774,7 +591,9 @@ void MultiDayDriver::finish_day() {
     }
   }
 
-  if (incident_ != nullptr) {
+  if (obs::incident::IncidentEngine* incident = engine_.incident()) {
+    // The horizon's day signal counts gated pricer-FALLBACK periods
+    // (FleetDriver's counts channel fallback periods; DESIGN.md §8).
     obs::incident::DaySignals sig;
     sig.day = day_;
     sig.abs_period = day_ * n + (n - 1);
@@ -787,7 +606,7 @@ void MultiDayDriver::finish_day() {
     sig.reanchored = partial_.reanchored;
     sig.reanchor_deferred = reanchor_deferred;
     sig.reanchor_rolled_back = partial_.reanchor_rolled_back;
-    incident_->observe_day(sig);
+    incident->observe_day(sig);
   }
 
   completed_days_.push_back(partial_);
@@ -814,29 +633,30 @@ HorizonMetrics MultiDayDriver::run() {
 
 HorizonMetrics MultiDayDriver::metrics() const {
   HorizonMetrics m;
-  m.users = population_.users();
-  m.periods = population_.periods();
-  m.slices = aggregator_.stripes();
-  m.shards = shards_.size();
-  m.threads = threads_;
+  m.users = engine_.population().users();
+  m.periods = engine_.population().periods();
+  m.slices = engine_.slice_count();
+  m.shards = engine_.shard_count();
+  m.threads = engine_.thread_count();
   m.warmup_days = config_.warmup_days;
   m.horizon_days = config_.horizon_days;
   const std::size_t skip =
       std::min(config_.warmup_days, completed_days_.size());
   m.days.assign(completed_days_.begin() + static_cast<std::ptrdiff_t>(skip),
                 completed_days_.end());
-  m.final_health = to_string(mechanism_->health());
+  m.final_health = to_string(engine_.mechanism().health());
   m.wall_seconds = wall_seconds_;
   return m;
 }
 
 CheckpointData MultiDayDriver::checkpoint() const {
+  const mech::PricingMechanism& mechanism = engine_.mechanism();
   CheckpointData d;
-  d.users = population_.users();
-  d.periods = static_cast<std::uint32_t>(population_.periods());
+  d.users = engine_.population().users();
+  d.periods = static_cast<std::uint32_t>(engine_.population().periods());
   d.population_seed = config_.population.seed;
   d.sessions_per_day = config_.population.sessions_per_day;
-  d.slices = aggregator_.stripes();
+  d.slices = engine_.slice_count();
   d.warmup_days = static_cast<std::uint32_t>(config_.warmup_days);
   d.horizon_days = static_cast<std::uint32_t>(config_.horizon_days);
   d.online_pricing = config_.online_pricing;
@@ -860,30 +680,20 @@ CheckpointData MultiDayDriver::checkpoint() const {
 
   d.day = day_;
   d.period = static_cast<std::uint32_t>(period_);
-  d.ring_head = static_cast<std::uint32_t>(shards_.front()->ring_head());
-
-  d.ring_work.reserve(aggregator_.stripes());
-  d.ring_reward.reserve(aggregator_.stripes());
-  for (const auto& shard : shards_) {
-    for (std::size_t s = shard->begin_slice(); s < shard->end_slice(); ++s) {
-      std::vector<double> work;
-      std::vector<double> reward;
-      shard->export_slice_rings(s, work, reward);
-      d.ring_work.push_back(std::move(work));
-      d.ring_reward.push_back(std::move(reward));
-    }
-  }
-
-  d.channel = channel_.export_state();
-  d.fanout_schedules = fanout_.export_schedules();
-  d.guard = guard_.export_state();
-  if (const OnlinePricer* online = mechanism_->online_pricer()) {
+  fleet::PeriodEngine::State engine = engine_.export_state();
+  d.ring_head = engine.ring_head;
+  d.ring_work = std::move(engine.ring_work);
+  d.ring_reward = std::move(engine.ring_reward);
+  d.channel = std::move(engine.channel);
+  d.fanout_schedules = std::move(engine.fanout_schedules);
+  d.guard = std::move(engine.guard);
+  if (const OnlinePricer* online = mechanism.online_pricer()) {
     d.pricer = online->export_state();
   } else {
     // No online pricer behind this mechanism: the section still needs a
     // schedule so pre-arena readers keep a usable view.
-    d.pricer.rewards = mechanism_->rewards();
-    d.pricer.reward_cap = mechanism_->reward_cap();
+    d.pricer.rewards = mechanism.rewards();
+    d.pricer.reward_cap = mechanism.reward_cap();
   }
   d.model_source = model_source_;
   d.model_beta = model_beta_;
@@ -896,7 +706,7 @@ CheckpointData MultiDayDriver::checkpoint() const {
   d.oracle_refine = config_.mechanism.oracle_refine;
   d.oracle_capacity_target = config_.mechanism.oracle_capacity_target;
   if (config_.mechanism.kind != mech::MechanismKind::kTubeOnline) {
-    d.mech_state = mechanism_->export_state();
+    d.mech_state = mechanism.export_state();
   }
   d.adaptive_users = config_.adaptive_users;
   d.adaptation_rate = config_.adaptation_rate;
@@ -910,15 +720,18 @@ CheckpointData MultiDayDriver::checkpoint() const {
   d.has_prev_day_start = has_prev_day_start_;
 
   d.incident_enabled = config_.incident.enabled;
-  if (incident_ != nullptr) {
+  if (const obs::incident::IncidentEngine* incident = engine_.incident()) {
     d.incident_config = config_.incident;
-    d.incident = incident_->state();
+    d.incident = incident->state();
   }
 
+  // Wall-clock timers depend on the host, not the run: they stay out so
+  // the bytes remain a pure function of the simulated work.
   const obs::Snapshot snap = obs::Registry::global().snapshot();
-  d.counters.reserve(snap.counters.size());
   for (const obs::Snapshot::CounterRow& row : snap.counters) {
-    d.counters.emplace_back(row.name, row.value);
+    if (!obs::is_wall_counter(row.name)) {
+      d.counters.emplace_back(row.name, row.value);
+    }
   }
   horizon_counters().checkpoints.add(1);
   return d;

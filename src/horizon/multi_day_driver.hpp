@@ -1,11 +1,11 @@
 // Long-horizon operations: the multi-day control loop with online §IV
 // re-estimation and versioned checkpoint/restore.
 //
-// A MultiDayDriver runs the TUBE control loop (fleet_driver.hpp's
-// publish → fan-out → simulate → aggregate → observe pipeline, period for
-// period, bitwise identical on a clean day) for many consecutive simulated
-// days. On top of the single-day loop it adds the operational layer a
-// deployment needs:
+// A MultiDayDriver runs the period engine (fleet/period_engine.hpp — the
+// same publish → fan-out → simulate → aggregate → observe pipeline
+// FleetDriver runs, so a clean or faulted day is bitwise FleetDriver's) for
+// many consecutive simulated days. On top of the engine it keeps the
+// operational layer a deployment needs:
 //
 //   * Online estimation. Each finished day contributes one DayRecord of
 //     fleet aggregates — published rewards, offered (TIP) demand and the
@@ -17,13 +17,18 @@
 //     (FaultPlan::drift_*): simulated users' patience indices move day by
 //     day, and the estimator is how the control loop finds out.
 //
+//   * Health gating. The driver tracks the pricer's HEALTHY streak and
+//     per-day FALLBACK periods; the latter is also the incident engine's
+//     day signal here (FleetDriver reports channel fallback periods).
+//
 //   * Checkpoint/restore. checkpoint() serializes the complete control-loop
-//     state at any period boundary (horizon/checkpoint.hpp). restore()
-//     rebuilds a driver from those bytes such that the continued run is
-//     **bitwise identical** to the uninterrupted one — under any shard
-//     count from 1 to the checkpointed slice count and any thread count:
-//     the canonical slice layout is recorded in the checkpoint and shards
-//     regroup whole slices on restore.
+//     state at any period boundary (horizon/checkpoint.hpp): the engine's
+//     exported state plus the driver's own. restore() rebuilds a driver
+//     from those bytes such that the continued run is **bitwise identical**
+//     to the uninterrupted one — under any shard count from 1 to the
+//     checkpointed slice count and any thread count: the canonical slice
+//     layout is recorded in the checkpoint and shards regroup whole slices
+//     on restore.
 //
 // Determinism: every DayMetrics field is a pure function of the
 // configuration (population seed, fault plan, estimation settings). The
@@ -38,20 +43,10 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "dynamic/dynamic_optimizer.hpp"
-#include "dynamic/online_pricer.hpp"
-#include "fleet/aggregator.hpp"
-#include "fleet/fleet_driver.hpp"
-#include "fleet/population.hpp"
-#include "fleet/price_fanout.hpp"
-#include "fleet/shard.hpp"
+#include "fleet/period_engine.hpp"
 #include "horizon/checkpoint.hpp"
 #include "horizon/checkpoint_stream.hpp"
 #include "horizon/horizon_metrics.hpp"
-#include "mech/mechanism.hpp"
-#include "obs/incident/incident.hpp"
-#include "tube/measurement_guard.hpp"
-#include "tube/price_channel.hpp"
 
 namespace tdp::horizon {
 
@@ -159,17 +154,19 @@ class MultiDayDriver {
       HorizonConfig config, const std::vector<std::uint8_t>& bytes,
       bool restore_counters = false);
 
-  const fleet::Population& population() const { return population_; }
+  const fleet::Population& population() const { return engine_.population(); }
   /// The TubeOnline mechanism's online pricer. Requires the default
   /// (tube_online) mechanism; other mechanisms have no pricer.
   const OnlinePricer& pricer() const;
   /// The active pricing mechanism (always present).
-  const mech::PricingMechanism& mechanism() const { return *mechanism_; }
+  const mech::PricingMechanism& mechanism() const {
+    return engine_.mechanism();
+  }
   /// Per-class adaptive patience scale (all ones unless adaptive_users).
   const std::vector<double>& adaptive_scale() const { return adapt_scale_; }
-  std::size_t slice_count() const { return aggregator_.stripes(); }
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t thread_count() const { return threads_; }
+  std::size_t slice_count() const { return engine_.slice_count(); }
+  std::size_t shard_count() const { return engine_.shard_count(); }
+  std::size_t thread_count() const { return engine_.thread_count(); }
 
   /// Simulated clock: the *next* period to simulate.
   std::uint64_t day() const { return day_; }
@@ -203,7 +200,7 @@ class MultiDayDriver {
 
   /// The incident engine, or nullptr when not enabled.
   const obs::incident::IncidentEngine* incident_engine() const {
-    return incident_.get();
+    return engine_.incident();
   }
 
  private:
@@ -211,10 +208,12 @@ class MultiDayDriver {
   MultiDayDriver(RestoreTag, HorizonConfig config, const CheckpointData& data,
                  bool restore_counters);
 
-  /// Shared by both constructors: validates config, builds population-
-  /// derived components. `slice_override` pins the canonical layout (the
-  /// checkpointed value on restore; 0 = derive from config).
-  MultiDayDriver(HorizonConfig config, std::size_t slice_override);
+  /// Shared by both constructors: validates config, builds the engine.
+  /// `slice_override` pins the canonical layout (the checkpointed value on
+  /// restore; 0 = derive from config); an unset factory plans against the
+  /// baseline fluid model.
+  MultiDayDriver(HorizonConfig config, std::size_t slice_override,
+                 const fleet::PeriodEngine::MechanismFactory& make_mechanism);
 
   void start_day();
   void finish_day();
@@ -230,33 +229,14 @@ class MultiDayDriver {
   }
   /// Stream a checkpoint commit if the clock warrants one.
   void maybe_stream_commit();
-  /// The estimated fluid model: one tied class per period at the window's
-  /// mean TIP volumes, with the baseline's capacity and cost.
-  DynamicModel estimated_model(double beta,
-                               const std::vector<double>& volumes) const;
-  /// Baseline-or-estimated model per model_source_ (restore path).
-  DynamicModel rebuild_model() const;
-
-  struct Observation {
-    std::optional<double> sample;
-    std::size_t lost_stripes = 0;
-  };
-  Observation observe(std::size_t period, std::uint64_t abs_period,
-                      double calibration,
-                      const fleet::PeriodStats& merged) const;
+  /// The checkpointed mechanism: rebuilt on the checkpointed model, then
+  /// overwritten with the checkpointed state (restore path).
+  std::unique_ptr<mech::PricingMechanism> restore_mechanism(
+      const fleet::Population& population, const PricerGuardConfig& guard,
+      const CheckpointData& data) const;
 
   HorizonConfig config_;
-  fleet::Population population_;
-  FaultInjector injector_;
-  std::unique_ptr<mech::PricingMechanism> mechanism_;
-  PriceChannel channel_;
-  fleet::PriceFanout fanout_;
-  MeasurementGuard guard_;
-  /// Heap-held so construction can run on the pool workers (first-touch
-  /// NUMA placement of each shard's arena).
-  std::vector<std::unique_ptr<fleet::Shard>> shards_;
-  fleet::StripedAggregator aggregator_;
-  std::size_t threads_;
+  fleet::PeriodEngine engine_;
 
   // Simulated clock (next period to simulate).
   std::uint64_t day_ = 0;
@@ -282,9 +262,6 @@ class MultiDayDriver {
 
   /// Streaming checkpoint writer (present when checkpoint_path is set).
   std::unique_ptr<CheckpointStream> stream_;
-
-  /// Incident engine (present when config_.incident.enabled).
-  std::unique_ptr<obs::incident::IncidentEngine> incident_;
 
   // Metrics.
   std::vector<DayMetrics> completed_days_;

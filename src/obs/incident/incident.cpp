@@ -494,8 +494,7 @@ std::vector<std::uint8_t> IncidentEngine::dump(bool include_wall) const {
   if (include_wall) {
     Snapshot snapshot = Registry::global().snapshot();
     for (const Snapshot::CounterRow& row : snapshot.counters) {
-      if (row.name.size() > 3 &&
-          row.name.compare(row.name.size() - 3, 3, "_ns") == 0) {
+      if (is_wall_counter(row.name)) {
         data.wall_counters.emplace_back(row.name, row.value);
       }
     }

@@ -250,4 +250,12 @@ class Registry {
   std::vector<std::unique_ptr<Histogram>> histograms_;
 };
 
+/// True for the wall-clock counter family: names ending in "_ns" (the fleet
+/// phase timers). Their values depend on the host, not on the simulated
+/// work, so they never enter a deterministic stream: checkpoints leave them
+/// out and incident dumps keep them only in the advisory wall section.
+inline bool is_wall_counter(std::string_view name) {
+  return name.size() > 3 && name.substr(name.size() - 3) == "_ns";
+}
+
 }  // namespace tdp::obs

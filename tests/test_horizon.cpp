@@ -33,6 +33,7 @@
 #include "fleet/fleet_driver.hpp"
 #include "gtest/gtest.h"
 #include "horizon/checkpoint.hpp"
+#include "obs/registry.hpp"
 
 #ifndef TDP_GOLDEN_DIR
 #error "TDP_GOLDEN_DIR must point at tests/golden"
@@ -230,6 +231,95 @@ TEST(HorizonDriver, CleanMeasuredDayMatchesFleetDriverBitwise) {
   EXPECT_EQ(hm.days[0].reward_paid_units, fm.reward_paid_units);
   EXPECT_EQ(hm.days[0].peak_to_average_tip, fm.peak_to_average_tip);
   EXPECT_EQ(hm.days[0].peak_to_average_tdp, fm.peak_to_average_tdp);
+}
+
+TEST(HorizonDriver, ChaosMeasuredDayMatchesFleetDriverBitwise) {
+  // The fault paths are the same loop too: under measurement loss, NaN and
+  // spikes, price-pull drops and solver exhaustion, the measured day and the
+  // final schedule of a (warmup + 1)-day horizon reproduce FleetDriver's bit
+  // for bit.
+  HorizonConfig config = small_config();
+  config.horizon_days = 1;
+  config.estimation = false;
+  config.fault.price_pull_drop = 0.1;
+  config.fault.measurement_loss = 0.08;
+  config.fault.measurement_nan = 0.1;
+  config.fault.measurement_spike = 0.1;
+  config.fault.solver_exhaustion = 0.2;
+  config.fault.seed = 424242;
+
+  fleet::FleetDriverConfig fleet_config;
+  fleet_config.population = config.population;
+  fleet_config.shards = config.shards;
+  fleet_config.slices = config.slices;
+  fleet_config.threads = config.threads;
+  fleet_config.warmup_days = config.warmup_days;
+  fleet_config.fault = config.fault;
+
+  MultiDayDriver horizon(config);
+  const HorizonMetrics hm = horizon.run();
+  fleet::FleetDriver fleet_driver(fleet_config);
+  const fleet::FleetMetrics fm = fleet_driver.run_day();
+
+  // The plan actually bit every fault domain the loop owns.
+  EXPECT_GT(fm.price_pull_drops, 0u);
+  EXPECT_GT(fm.shard_stripes_lost, 0u);
+  EXPECT_GT(fm.measurement_repairs, 0u);
+
+  ASSERT_EQ(hm.days.size(), 1u);
+  EXPECT_EQ(hm.days[0].offered_units, fm.offered_units);
+  EXPECT_EQ(hm.days[0].realized_units, fm.realized_units);
+  EXPECT_EQ(hm.days[0].sessions, fm.sessions);
+  EXPECT_EQ(hm.days[0].deferred_sessions, fm.deferred_sessions);
+  EXPECT_EQ(hm.days[0].reward_paid_units, fm.reward_paid_units);
+  EXPECT_EQ(hm.days[0].peak_to_average_tip, fm.peak_to_average_tip);
+  EXPECT_EQ(hm.days[0].peak_to_average_tdp, fm.peak_to_average_tdp);
+  EXPECT_EQ(horizon.mechanism().rewards(), fleet_driver.mechanism().rewards());
+}
+
+TEST(HorizonDriver, LoopChargesSharedPhaseTimersAndCounters) {
+  // One period engine: a horizon run counts its periods and charges its
+  // phase timers under the same registry names as a fleet day.
+  const bool metrics_were = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  HorizonConfig config = small_config();
+  config.horizon_days = 2;
+  obs::Registry& registry = obs::Registry::global();
+  const obs::CounterDelta periods(registry.counter("fleet.periods_total"));
+  const obs::CounterDelta simulate_ns(
+      registry.counter("fleet.phase.simulate_ns"));
+
+  MultiDayDriver(config).run();
+
+  EXPECT_EQ(periods.delta(),
+            (config.warmup_days + config.horizon_days) *
+                config.population.periods);
+  EXPECT_GT(simulate_ns.delta(), 0u);
+  obs::set_metrics_enabled(metrics_were);
+}
+
+TEST(HorizonCheckpoint, WallClockCountersNeverEnterCheckpoints) {
+  // Checkpoint bytes, counter section included, are a pure function of the
+  // work done since the registry was zeroed — even after a fleet day and the
+  // horizon loop itself have charged the wall-clock `_ns` phase timers.
+  HorizonConfig config = small_config();
+  fleet::FleetDriverConfig fleet_config;
+  fleet_config.population = config.population;
+  fleet_config.shards = config.shards;
+  fleet_config.threads = config.threads;
+
+  std::vector<std::uint8_t> bytes[2];
+  for (auto& run : bytes) {
+    obs::Registry::global().reset_values();
+    fleet::FleetDriver(fleet_config).run_day();
+    MultiDayDriver driver(config);
+    for (int i = 0; i < 17; ++i) driver.step_period();  // mid-day 1
+    run = driver.checkpoint_bytes();
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+  for (const auto& [name, value] : decode(bytes[0]).counters) {
+    EXPECT_FALSE(obs::is_wall_counter(name)) << name;
+  }
 }
 
 TEST(HorizonCheckpoint, EveryTruncationIsRejectedCleanly) {
