@@ -17,6 +17,7 @@
 // (the same fixed reference-kernel loop the kernel suite times, so wall
 // times normalize across hosts) plus one entry per (users, threads) cell
 // with the day wall time and throughput.
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -91,6 +92,20 @@ bool identical_profiles(const tdp::fleet::FleetMetrics& a,
          a.deferred_sessions == b.deferred_sessions;
 }
 
+/// A fleet size: a whole, positive decimal integer with nothing after it.
+bool parse_users(const char* text, std::uint64_t& users) {
+  if (*text < '0' || *text > '9') return false;  // strtoull takes "-5"
+  errno = 0;
+  char* end = nullptr;
+  users = std::strtoull(text, &end, 10);
+  return errno == 0 && *end == '\0' && users > 0;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [<users>...] [--out <file>]\n", argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,7 +118,9 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
       continue;
     }
-    fleet_sizes.push_back(std::strtoull(argv[i], nullptr, 10));
+    std::uint64_t users = 0;
+    if (!parse_users(argv[i], users)) return usage(argv[0]);
+    fleet_sizes.push_back(users);
   }
   if (fleet_sizes.empty()) fleet_sizes = {10000, 100000, 1000000};
 

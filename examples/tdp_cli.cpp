@@ -2,7 +2,8 @@
 //
 // Input format (header required), one row per session class:
 //
-//     # period is 1-based; beta is the patience index; volume in demand units
+//     # period is 1-based and every period 1..n appears; beta is the
+//     # patience index; volume in demand units
 //     period,beta,volume
 //     1,0.5,4
 //     1,2.0,3
@@ -16,10 +17,13 @@
 // and prints — or writes as CSV — the optimal reward schedule and the
 // resulting traffic profile. Demonstrates how a downstream ISP would feed
 // its own measured demand into the library.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/csv.hpp"
@@ -35,9 +39,38 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <demand.csv> <capacity> <cost-slope> [--dynamic] "
                "[--out <file>]\n"
-               "  demand.csv columns: period,beta,volume (period 1-based)\n",
+               "  demand.csv columns: period,beta,volume (period 1..n, no gaps)\n",
                argv0);
   return 2;
+}
+
+/// A whole command-line number: strtod must consume all of `text` and the
+/// value must be finite.
+bool parse_number(const char* text, double& value) {
+  char* end = nullptr;
+  value = std::strtod(text, &end);
+  return end != text && *end == '\0' && std::isfinite(value);
+}
+
+/// The period count n, after checking that every period cell is a finite
+/// integer >= 1 and that together they cover 1..n with no gap. Runs before
+/// anything is sized by a period number, so a hostile cell cannot size an
+/// allocation.
+std::size_t period_count(const tdp::CsvTable& csv, std::size_t column) {
+  std::set<double> seen;
+  for (std::size_t r = 0; r < csv.row_count(); ++r) {
+    const double period = csv.number(r, column);
+    TDP_REQUIRE(std::isfinite(period) && period >= 1.0 &&
+                    period == std::floor(period),
+                "period must be an integer >= 1, got '" +
+                    csv.cell(r, column) + "'");
+    seen.insert(period);
+  }
+  // Distinct integers >= 1 cover 1..n exactly when the largest is n.
+  TDP_REQUIRE(!seen.empty() &&
+                  *seen.rbegin() == static_cast<double>(seen.size()),
+              "periods must cover 1..n with no gap");
+  return seen.size();
 }
 
 }  // namespace
@@ -47,8 +80,18 @@ int main(int argc, char** argv) {
   if (argc < 4) return usage(argv[0]);
 
   const std::string demand_path = argv[1];
-  const double capacity = std::atof(argv[2]);
-  const double slope = std::atof(argv[3]);
+  double capacity = 0.0;
+  double slope = 0.0;
+  if (!parse_number(argv[2], capacity)) {
+    std::fprintf(stderr, "error: capacity is not a finite number: '%s'\n",
+                 argv[2]);
+    return 1;
+  }
+  if (!parse_number(argv[3], slope)) {
+    std::fprintf(stderr, "error: cost slope is not a finite number: '%s'\n",
+                 argv[3]);
+    return 1;
+  }
   bool dynamic = false;
   std::string out_path;
   for (int a = 4; a < argc; ++a) {
@@ -67,11 +110,7 @@ int main(int argc, char** argv) {
     const std::size_t beta_col = csv.column_index("beta");
     const std::size_t volume_col = csv.column_index("volume");
 
-    std::size_t periods = 0;
-    for (std::size_t r = 0; r < csv.row_count(); ++r) {
-      periods = std::max(periods,
-                         static_cast<std::size_t>(csv.number(r, period_col)));
-    }
+    const std::size_t periods = period_count(csv, period_col);
     TDP_REQUIRE(periods >= 2, "need at least two periods in the CSV");
 
     // Normalization at the rational cap slope/2 (the calibrated convention).

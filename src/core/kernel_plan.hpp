@@ -87,12 +87,6 @@ class KernelPlan {
   /// Total flattened (function, volume) terms across all periods.
   std::size_t term_count() const { return term_wf_.size(); }
 
-  /// True when the snapshot qualifies for the vectorized fill path: every
-  /// period flattens to the same (nonempty) waiting-function slot sequence
-  /// and every slot is power-law. Diagnostics/tests; evaluation dispatches
-  /// on this automatically.
-  bool simd_eligible() const { return simd_ready_; }
-
   /// Fill `state` for the full reward vector: the pair matrix, inflow and
   /// outflow sums, and (optionally) the derivative matrix and inflow
   /// derivative sums. Resizes the scratch on first use.
@@ -126,9 +120,7 @@ class KernelPlan {
   void fill_column(std::size_t to, double reward, bool with_derivatives,
                    FlowState& state) const;
   /// One (from, to) slot of fill_column: accumulates period `from`'s terms
-  /// in class order and stores V / dV. Shared by the scalar column loop and
-  /// the vector path's remainder rows, so both execute the exact same
-  /// non-inlined arithmetic.
+  /// in class order and stores V / dV.
   void fill_cell(std::size_t from, std::size_t to, std::size_t lag,
                  double reward, bool positive, bool with_derivatives,
                  FlowState& state) const;
@@ -146,13 +138,8 @@ class KernelPlan {
                            FlowState& state) const;
 
 #if defined(TDP_HAVE_AVX2)
-  /// Vectorized fill_column body (kernel_plan_avx2.cpp, compiled -mavx2):
-  /// four consecutive `from` rows per iteration, one lane per row, each
-  /// lane replaying the scalar term sequence operation for operation.
-  /// Requires simd_ready_ and the factor prologue already run.
-  void fill_column_avx2(std::size_t to, double reward, bool positive,
-                        bool with_derivatives, FlowState& state) const;
-  /// Vectorized reduce_inflow for four consecutive `into` columns: lanes
+  /// Vectorized reduce_inflow for four consecutive `into` columns
+  /// (kernel_plan_avx2.cpp, compiled -mavx2): lanes
   /// are independent column sums in the scalar's ascending-`from` order;
   /// the diagonal (from == into) is skipped per lane with a blend, never
   /// by adding 0.0.
@@ -181,13 +168,6 @@ class KernelPlan {
   /// Linear fast path: unit-reward tables copied from the kernel.
   std::vector<double> unit_;
   std::vector<double> unit_inflow_;
-
-  /// SIMD eligibility (see simd_eligible()) plus the column-major slot
-  /// volumes it needs: slot_volume_[slot * n + from] is period `from`'s
-  /// volume for master slot `slot`, so a 4-row group loads its four lane
-  /// volumes contiguously.
-  bool simd_ready_ = false;
-  std::vector<double> slot_volume_;
 };
 
 /// Precomputed uniform-arrival lag weights for a single waiting function:

@@ -10,15 +10,8 @@
 // "while sub-optimal, this algorithm is easy to implement and avoids the
 // high dimensionality of a full dynamic programming solution."
 //
-// Speculative mode: while a period's measurements stream in, the pricer
-// pre-solves the next period's 1-D problem on a background thread under the
-// assumption that the measurement will match the current forecast. When the
-// real measurement arrives and equals the forecast exactly, the published
-// result is the precomputed one — bit-identical to what the synchronous
-// path would produce, since the model update at an exactly-confirmed
-// forecast is a scale-by-1.0 no-op. Any deviation discards the speculation
-// and recomputes synchronously, so outputs never depend on whether
-// speculation is enabled, only the latency does.
+// Each step runs synchronously on the caller's thread, once per period, as
+// the paper's online algorithm does.
 //
 // Guarded observe path: a production pricer's inputs degrade — measurements
 // get synthesized by the guard, solves get starved of iterations, demand
@@ -45,7 +38,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "dynamic/dynamic_model.hpp"
@@ -100,7 +92,6 @@ struct OnlinePricerState;
 class OnlinePricer {
  public:
   /// Initializes rewards by solving the offline dynamic model.
-  /// `speculative` pre-solves each next period in the background.
   /// `incremental` runs each 1-D solve on the kernel plan's cached pair
   /// matrix (core/kernel_plan): the first candidate primes or resyncs the
   /// matrix and every later candidate is an O(n) column update instead of a
@@ -109,10 +100,8 @@ class OnlinePricer {
   /// reference); disable to run the reference path.
   explicit OnlinePricer(DynamicModel model,
                         DynamicOptimizerOptions offline_options = {},
-                        bool speculative = false,
                         PricerGuardConfig guard = {},
                         bool incremental = true);
-  ~OnlinePricer();
 
   OnlinePricer(const OnlinePricer&) = delete;
   OnlinePricer& operator=(const OnlinePricer&) = delete;
@@ -130,7 +119,6 @@ class OnlinePricer {
     double old_reward = 0.0;
     double new_reward = 0.0;
     double expected_cost = 0.0;   ///< daily cost at the updated rewards
-    bool speculative_hit = false; ///< result came from the pre-solve
     bool solve_failed = false;    ///< budget exhausted / non-finite result
     bool clamped = false;         ///< trust region bound the step
     bool skipped = false;         ///< FALLBACK froze the schedule
@@ -163,11 +151,7 @@ class OnlinePricer {
     return model_.total_cost(rewards_, cost_scratch_);
   }
 
-  bool speculative() const { return speculative_; }
   bool incremental() const { return incremental_; }
-  /// Steps answered from the background pre-solve / recomputed live.
-  std::size_t speculation_hits() const { return speculation_hits_; }
-  std::size_t speculation_misses() const { return speculation_misses_; }
 
   const PricerGuardConfig& guard() const { return guard_; }
   PricerHealth health() const { return health_; }
@@ -187,10 +171,7 @@ class OnlinePricer {
 
   /// Snapshot everything observe_period / observe_missed mutate: the
   /// published rewards, the per-period demand volumes (the only part of the
-  /// model online updates change), and the health ladder. Any in-flight
-  /// speculation is deliberately not captured — restore never resumes a
-  /// pre-solve, and speculation cannot change published values, only
-  /// latency.
+  /// model online updates change), and the health ladder.
   OnlinePricerState export_state() const;
 
   /// Rebuild a pricer from the *baseline* fluid model (same construction as
@@ -199,8 +180,7 @@ class OnlinePricer {
   /// next observation is bitwise identical to the uninterrupted one's.
   static std::unique_ptr<OnlinePricer> restore(
       DynamicModel baseline, const OnlinePricerState& state,
-      PricerGuardConfig guard = {}, bool speculative = false,
-      bool incremental = true);
+      PricerGuardConfig guard = {}, bool incremental = true);
 
   /// Replace the fluid model (the multi-day driver's daily re-anchor after
   /// re-estimating the population): runs the offline solve on `model` and
@@ -220,7 +200,7 @@ class OnlinePricer {
  private:
   struct RestoreTag {};
   OnlinePricer(RestoreTag, DynamicModel model, const OnlinePricerState& state,
-               PricerGuardConfig guard, bool speculative, bool incremental);
+               PricerGuardConfig guard, bool incremental);
 
   static constexpr std::size_t kMaxTransitionLog = 256;
 
@@ -246,9 +226,6 @@ class OnlinePricer {
                                       std::size_t period,
                                       std::size_t max_iterations);
 
-  void launch_speculation(std::size_t next_period);
-  void join_speculation();
-
   /// Advance the health ladder after one observation.
   void update_health(bool bad);
 
@@ -265,20 +242,6 @@ class OnlinePricer {
   std::uint64_t consecutive_good_ = 0;
   std::uint64_t excursion_periods_ = 0;  ///< observations since HEALTHY
 
-  /// One in-flight pre-solve; owned and joined by the calling thread, so
-  /// the worker only ever touches its private snapshot in `speculation_`.
-  struct Speculation {
-    std::size_t period = 0;
-    double assumed_arrivals = 0.0;        ///< forecast the pre-solve assumed
-    math::GoldenSectionResult best;       ///< written by the worker thread
-    DynamicModel model;                   ///< private snapshot
-    math::Vector rewards;                 ///< private snapshot
-    Speculation(std::size_t p, double assumed, DynamicModel m,
-                math::Vector r)
-        : period(p), assumed_arrivals(assumed), model(std::move(m)),
-          rewards(std::move(r)) {}
-  };
-  bool speculative_ = false;
   bool incremental_ = true;
   /// Pair-matrix cache reused across synchronous solves; the resync in
   /// solve_period_incremental keeps warm starts cheap when the demand
@@ -289,10 +252,6 @@ class OnlinePricer {
   /// Distinct from solve_scratch_ so expected_cost() never invalidates a
   /// primed solver state; mutable because expected_cost() is const.
   mutable FlowState cost_scratch_;
-  std::thread speculation_thread_;
-  std::unique_ptr<Speculation> speculation_;
-  std::size_t speculation_hits_ = 0;
-  std::size_t speculation_misses_ = 0;
 };
 
 /// The serializable slice of an OnlinePricer (see export_state / restore).

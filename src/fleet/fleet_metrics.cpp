@@ -1,48 +1,9 @@
 #include "fleet/fleet_metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 
 namespace tdp::fleet {
-namespace {
-
-void append_number(std::string& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
-}
-
-void append_field(std::string& out, const char* key, double value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_number(out, value);
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llu",
-                static_cast<unsigned long long>(value));
-  out += '"';
-  out += key;
-  out += "\":";
-  out += buffer;
-}
-
-void append_array(std::string& out, const char* key,
-                  const std::vector<double>& values) {
-  out += '"';
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out += ',';
-    append_number(out, values[i]);
-  }
-  out += ']';
-}
-
-}  // namespace
 
 double peak_to_average(const std::vector<double>& profile) {
   if (profile.empty()) return 0.0;
@@ -51,118 +12,6 @@ double peak_to_average(const std::vector<double>& profile) {
   if (total <= 0.0) return 0.0;
   const double peak = *std::max_element(profile.begin(), profile.end());
   return peak * static_cast<double>(profile.size()) / total;
-}
-
-std::string FleetMetrics::to_json() const {
-  std::string out = "{";
-  append_field(out, "users", static_cast<std::uint64_t>(users));
-  out += ',';
-  append_field(out, "periods", static_cast<std::uint64_t>(periods));
-  out += ',';
-  append_field(out, "shards", static_cast<std::uint64_t>(shards));
-  out += ',';
-  append_field(out, "threads", static_cast<std::uint64_t>(threads));
-  out += ',';
-  append_field(out, "days", static_cast<std::uint64_t>(days));
-  out += ',';
-  append_field(out, "sessions", sessions);
-  out += ',';
-  append_field(out, "deferred_sessions", deferred_sessions);
-  out += ',';
-  append_field(out, "wall_seconds", wall_seconds);
-  out += ',';
-  append_field(out, "sessions_per_second", sessions_per_second);
-  out += ',';
-  append_field(out, "user_periods_per_second", user_periods_per_second);
-  out += ',';
-  append_field(out, "publish_seconds", publish_seconds);
-  out += ',';
-  append_field(out, "table_seconds", table_seconds);
-  out += ',';
-  append_field(out, "simulate_seconds", simulate_seconds);
-  out += ',';
-  append_field(out, "aggregate_seconds", aggregate_seconds);
-  out += ',';
-  append_field(out, "pricer_seconds", pricer_seconds);
-  out += ',';
-  append_field(out, "peak_to_average_tip", peak_to_average_tip);
-  out += ',';
-  append_field(out, "peak_to_average_tdp", peak_to_average_tdp);
-  out += ',';
-  append_field(out, "reward_paid_units", reward_paid_units);
-  out += ',';
-  append_field(out, "pricer_expected_cost", pricer_expected_cost);
-  out += ',';
-  append_field(out, "price_groups",
-               static_cast<std::uint64_t>(price_groups));
-  out += ',';
-  append_field(out, "price_server_fetches",
-               static_cast<std::uint64_t>(price_server_fetches));
-  out += ',';
-  append_field(out, "price_pull_drops",
-               static_cast<std::uint64_t>(price_pull_drops));
-  out += ',';
-  append_field(out, "price_pull_retries",
-               static_cast<std::uint64_t>(price_pull_retries));
-  out += ',';
-  append_field(out, "price_stale_periods",
-               static_cast<std::uint64_t>(price_stale_periods));
-  out += ',';
-  append_field(out, "price_fallback_periods",
-               static_cast<std::uint64_t>(price_fallback_periods));
-  out += ',';
-  append_field(out, "price_skewed_periods",
-               static_cast<std::uint64_t>(price_skewed_periods));
-  out += ',';
-  append_field(out, "price_recoveries",
-               static_cast<std::uint64_t>(price_recoveries));
-  out += ',';
-  append_field(out, "shard_stripes_lost",
-               static_cast<std::uint64_t>(shard_stripes_lost));
-  out += ',';
-  append_field(out, "measurement_gaps",
-               static_cast<std::uint64_t>(measurement_gaps));
-  out += ',';
-  append_field(out, "measurement_repairs",
-               static_cast<std::uint64_t>(measurement_repairs));
-  out += ',';
-  append_field(out, "solver_failures", solver_failures);
-  out += ',';
-  append_field(out, "reward_clamps", reward_clamps);
-  out += ',';
-  append_field(out, "skipped_updates", skipped_updates);
-  out += ',';
-  append_field(out, "health_transitions", health_transitions);
-  out += ',';
-  append_field(out, "degraded_observations", degraded_observations);
-  out += ',';
-  append_field(out, "fallback_observations", fallback_observations);
-  out += ',';
-  append_field(out, "pricer_recoveries", pricer_recoveries);
-  out += ',';
-  append_field(out, "max_recovery_periods", max_recovery_periods);
-  out += ',';
-  append_field(out, "incident_alerts", incident_alerts);
-  out += ',';
-  append_field(out, "incidents_opened", incidents_opened);
-  out += ',';
-  append_field(out, "incidents_closed", incidents_closed);
-  out += ',';
-  out += "\"final_health\":\"";
-  out += final_health;
-  out += "\",";
-  out += "\"mechanism\":\"";
-  out += mechanism;
-  out += "\",";
-  append_field(out, "rebate_budget_pool", rebate_budget_pool);
-  out += ',';
-  append_field(out, "rebate_budget_spent", rebate_budget_spent);
-  out += ',';
-  append_array(out, "offered_units", offered_units);
-  out += ',';
-  append_array(out, "realized_units", realized_units);
-  out += '}';
-  return out;
 }
 
 }  // namespace tdp::fleet

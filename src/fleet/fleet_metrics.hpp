@@ -1,5 +1,4 @@
-// Fleet-run metrics: throughput, peak-to-average, cost — JSON-exportable so
-// the fleet becomes a tracked perf axis alongside solver speed.
+// Fleet-run metrics: throughput, peak-to-average, cost.
 #pragma once
 
 #include <cstddef>
@@ -79,9 +78,6 @@ struct FleetMetrics {
   std::uint64_t incident_alerts = 0;
   std::uint64_t incidents_opened = 0;
   std::uint64_t incidents_closed = 0;
-
-  /// Compact single-object JSON (profiles included as arrays).
-  std::string to_json() const;
 };
 
 /// max(profile) / mean(profile); 0 for an empty or all-zero profile.

@@ -60,9 +60,6 @@ struct HorizonMetrics {
   std::vector<DayMetrics> days;
   std::string final_health = "HEALTHY";
   double wall_seconds = 0.0;  ///< NOT deterministic; excluded from comparisons
-
-  /// Compact single-object JSON (per-day profiles as arrays of arrays).
-  std::string to_json() const;
 };
 
 }  // namespace tdp::horizon

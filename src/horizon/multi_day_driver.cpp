@@ -221,13 +221,6 @@ MultiDayDriver::MultiDayDriver(
   }
 }
 
-const OnlinePricer& MultiDayDriver::pricer() const {
-  const OnlinePricer* pricer = engine_.mechanism().online_pricer();
-  TDP_REQUIRE(pricer != nullptr,
-              "pricer() needs the tube_online mechanism; use mechanism()");
-  return *pricer;
-}
-
 MultiDayDriver::MultiDayDriver(HorizonConfig config)
     : MultiDayDriver(std::move(config), /*slice_override=*/0, {}) {
   TDP_LOG_INFO << "horizon: " << engine_.population().users() << " users, "

@@ -155,9 +155,6 @@ class MultiDayDriver {
       bool restore_counters = false);
 
   const fleet::Population& population() const { return engine_.population(); }
-  /// The TubeOnline mechanism's online pricer. Requires the default
-  /// (tube_online) mechanism; other mechanisms have no pricer.
-  const OnlinePricer& pricer() const;
   /// The active pricing mechanism (always present).
   const mech::PricingMechanism& mechanism() const {
     return engine_.mechanism();

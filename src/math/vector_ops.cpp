@@ -14,8 +14,6 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
-
 double norm_inf(const Vector& a) {
   double m = 0.0;
   for (double v : a) m = std::max(m, std::abs(v));
@@ -31,26 +29,6 @@ double sum(const Vector& a) {
 void axpy(double alpha, const Vector& x, Vector& y) {
   TDP_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-Vector subtract(const Vector& a, const Vector& b) {
-  TDP_REQUIRE(a.size() == b.size(), "subtract: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector add(const Vector& a, const Vector& b) {
-  TDP_REQUIRE(a.size() == b.size(), "add: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector scale(double alpha, const Vector& a) {
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = alpha * a[i];
-  return out;
 }
 
 void project_box(Vector& x, double lo, double hi) {

@@ -15,9 +15,6 @@ using Vector = std::vector<double>;
 /// Inner product. Sizes must match.
 double dot(const Vector& a, const Vector& b);
 
-/// Euclidean norm.
-double norm2(const Vector& a);
-
 /// Infinity norm.
 double norm_inf(const Vector& a);
 
@@ -26,15 +23,6 @@ double sum(const Vector& a);
 
 /// y += alpha * x (sizes must match).
 void axpy(double alpha, const Vector& x, Vector& y);
-
-/// Element-wise a - b.
-Vector subtract(const Vector& a, const Vector& b);
-
-/// Element-wise a + b.
-Vector add(const Vector& a, const Vector& b);
-
-/// alpha * a.
-Vector scale(double alpha, const Vector& a);
 
 /// Project x onto the box [lo, hi] element-wise (scalar bounds).
 void project_box(Vector& x, double lo, double hi);

@@ -249,18 +249,5 @@ TEST(FleetDriver, RunsAreSingleShot) {
   EXPECT_THROW(driver.run_day(), PreconditionError);
 }
 
-TEST(FleetMetrics, JsonRoundTripsKeyFields) {
-  FleetMetrics metrics;
-  metrics.users = 12;
-  metrics.periods = 2;
-  metrics.offered_units = {1.5, 2.5};
-  metrics.realized_units = {2.0, 2.0};
-  const std::string json = metrics.to_json();
-  EXPECT_NE(json.find("\"users\":12"), std::string::npos);
-  EXPECT_NE(json.find("\"offered_units\":[1.5,2.5]"), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-}
-
 }  // namespace
 }  // namespace tdp::fleet

@@ -573,11 +573,9 @@ TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {
   offline.fista.max_iterations = 400;
 
   OnlinePricer incremental(nonlinear_dynamic_model(), offline,
-                           /*speculative=*/false, PricerGuardConfig{},
-                           /*incremental=*/true);
+                           PricerGuardConfig{}, /*incremental=*/true);
   OnlinePricer reference(nonlinear_dynamic_model(), offline,
-                         /*speculative=*/false, PricerGuardConfig{},
-                         /*incremental=*/false);
+                         PricerGuardConfig{}, /*incremental=*/false);
   EXPECT_TRUE(incremental.incremental());
   EXPECT_FALSE(reference.incremental());
 

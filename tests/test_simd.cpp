@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -73,10 +74,16 @@ TEST(RngBatch, ScalarKernelMatchesTheRngReference) {
   Rng seeder(20110611);
   for (auto& s : state) s = seeder.next();
 
+  // One class whose screen is always active: a uniform in [0,1) is never
+  // <= -1, so every user's mask bit must be set.
+  const std::vector<std::uint32_t> cls(kCount, 0);
+  const double screen[1] = {-1.0};
   std::vector<double> u1(kCount);
   std::vector<std::uint64_t> out(kCount);
-  simd::detail::fork_uniform_batch_scalar(state.data(), kCount, kStream,
-                                          u1.data(), out.data());
+  std::vector<std::uint64_t> mask((kCount + 63) / 64, 0);
+  simd::detail::fork_uniform_screen_batch_scalar(
+      state.data(), kCount, kStream, cls.data(), screen, u1.data(),
+      out.data(), mask.data());
   for (std::size_t i = 0; i < kCount; ++i) {
     Rng child = Rng(state[i]).fork_stream(kStream);
     EXPECT_EQ(child.uniform(), u1[i]) << "u1 " << i;
@@ -84,6 +91,7 @@ TEST(RngBatch, ScalarKernelMatchesTheRngReference) {
     // Resuming from the stored state replays the child's tail sequence.
     Rng resumed(out[i]);
     EXPECT_EQ(child.next(), resumed.next()) << "tail " << i;
+    EXPECT_TRUE((mask[i / 64] >> (i % 64)) & 1u) << "mask bit " << i;
   }
 }
 
@@ -108,15 +116,6 @@ TEST(RngBatch, Avx2KernelsAreBitIdenticalToScalar) {
 
   std::vector<double> u_a(kCount), u_b(kCount);
   std::vector<std::uint64_t> s_a(kCount), s_b(kCount);
-  simd::detail::fork_uniform_batch_scalar(state.data(), kCount, kStream,
-                                          u_a.data(), s_a.data());
-  simd::detail::fork_uniform_batch_avx2(state.data(), kCount, kStream,
-                                        u_b.data(), s_b.data());
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(u_a[i], u_b[i]) << "uniform " << i;
-    EXPECT_EQ(s_a[i], s_b[i]) << "state " << i;
-  }
-
   std::vector<std::uint64_t> mask_a(kWords, ~0ull), mask_b(kWords, ~0ull);
   simd::detail::fork_uniform_screen_batch_scalar(
       state.data(), kCount, kStream, cls.data(), screen, u_a.data(),
@@ -141,12 +140,11 @@ TEST(RngBatch, Avx2KernelsAreBitIdenticalToScalar) {
 #endif
 }
 
-// ---- KernelPlan vector fill path ------------------------------------------
+// ---- KernelPlan vector inflow reduction -----------------------------------
 
-/// A SIMD-eligible profile: the *same* class list every period (so every
-/// period flattens to one shared slot sequence), all power-law. Nonlinear
-/// gammas keep the plan off its linear fast path, so evaluate() actually
-/// walks the fill/reduce loops under test.
+/// A uniform profile: the *same* class list every period, all power-law.
+/// Nonlinear gammas keep the plan off its linear fast path, so evaluate()
+/// actually walks the vector inflow reduction under test.
 DemandProfile uniform_profile(std::size_t n, bool linear,
                               LagNormalization normalization,
                               double max_reward) {
@@ -196,28 +194,41 @@ void expect_states_bitwise_equal(const FlowState& a, const FlowState& b,
   }
 }
 
-TEST(KernelPlanSimd, UniformProfilesAreEligibleRaggedOnesAreNot) {
-  const DeferralKernel uniform(
-      uniform_profile(12, /*linear=*/false, LagNormalization::kContinuous,
-                      1.5),
-      LagConvention::kUniformArrival);
-  ASSERT_NE(uniform.plan(), nullptr);
-  EXPECT_TRUE(uniform.plan()->simd_eligible());
+// Scalar-vs-AVX2 evaluate of one kernel's plan at random rewards, with and
+// without derivatives, plus the vector result against the reference kernel.
+void expect_evaluate_bitwise_scalar_vs_avx2(const DeferralKernel& kernel,
+                                            Rng& rng,
+                                            const std::string& label) {
+  const std::size_t n = kernel.periods();
+  const auto plan = kernel.plan();
+  ASSERT_NE(plan, nullptr);
+  ASSERT_FALSE(plan->linear());
 
-  // A profile with an empty period can't share one slot sequence.
-  DemandProfile ragged =
-      uniform_profile(12, false, LagNormalization::kContinuous, 1.5);
-  DemandProfile holes(12);
-  Rng rng(5);
-  auto wf = std::make_shared<PowerLawWaitingFunction>(
-      0.8, 12, 1.5, 0.7, LagNormalization::kContinuous);
-  for (std::size_t i = 0; i < 12; ++i) {
-    if (i == 4) continue;
-    holes.add_class(i, SessionClass{wf, 1.0 + rng.uniform(0.0, 2.0)});
+  for (const bool with_derivatives : {false, true}) {
+    const math::Vector rewards = random_rewards(rng, n, 1.5);
+    FlowState scalar_state, simd_state;
+    {
+      ModeGuard guard(simd::Mode::kScalar);
+      plan->evaluate(rewards, with_derivatives, scalar_state);
+    }
+    {
+      ModeGuard guard(simd::Mode::kAvx2);
+      plan->evaluate(rewards, with_derivatives, simd_state);
+    }
+    const std::string context =
+        label + " deriv=" + std::to_string(with_derivatives);
+    expect_states_bitwise_equal(scalar_state, simd_state, n,
+                                context.c_str());
+
+    // Absolute correctness, not just scalar-agreement: the vector
+    // result must still match the reference kernel's virtual path.
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(kernel.inflow(i, rewards[i]), simd_state.inflow[i])
+          << context << " vs reference, period " << i;
+      EXPECT_EQ(kernel.outflow(i, rewards), simd_state.outflow[i])
+          << context << " vs reference outflow, period " << i;
+    }
   }
-  const DeferralKernel ragged_kernel(holes, LagConvention::kUniformArrival);
-  ASSERT_NE(ragged_kernel.plan(), nullptr);
-  EXPECT_FALSE(ragged_kernel.plan()->simd_eligible());
 }
 
 TEST(KernelPlanSimd, EvaluateIsBitIdenticalScalarVsAvx2) {
@@ -233,38 +244,23 @@ TEST(KernelPlanSimd, EvaluateIsBitIdenticalScalarVsAvx2) {
               : LagNormalization::kContinuous;
       const DeferralKernel kernel(
           uniform_profile(n, /*linear=*/false, norm, 1.5), convention);
-      const auto plan = kernel.plan();
-      ASSERT_NE(plan, nullptr);
-      ASSERT_TRUE(plan->simd_eligible());
-      ASSERT_FALSE(plan->linear());
-
-      for (const bool with_derivatives : {false, true}) {
-        const math::Vector rewards = random_rewards(rng, n, 1.5);
-        FlowState scalar_state, simd_state;
-        {
-          ModeGuard guard(simd::Mode::kScalar);
-          plan->evaluate(rewards, with_derivatives, scalar_state);
-        }
-        {
-          ModeGuard guard(simd::Mode::kAvx2);
-          plan->evaluate(rewards, with_derivatives, simd_state);
-        }
-        const std::string context = "n=" + std::to_string(n) + " deriv=" +
-                                    std::to_string(with_derivatives);
-        expect_states_bitwise_equal(scalar_state, simd_state, n,
-                                    context.c_str());
-
-        // Absolute correctness, not just scalar-agreement: the vector
-        // result must still match the reference kernel's virtual path.
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(kernel.inflow(i, rewards[i]), simd_state.inflow[i])
-              << context << " vs reference, period " << i;
-          EXPECT_EQ(kernel.outflow(i, rewards), simd_state.outflow[i])
-              << context << " vs reference outflow, period " << i;
-        }
-      }
+      expect_evaluate_bitwise_scalar_vs_avx2(kernel, rng,
+                                             "n=" + std::to_string(n));
     }
   }
+
+  // A ragged nonlinear profile with an empty period 4: per-period class
+  // lists differ, the kernel shape bench_kernel_suite's nonlinear mix has.
+  DemandProfile holes(12);
+  Rng volumes(5);
+  auto wf = std::make_shared<PowerLawWaitingFunction>(
+      0.8, 12, 1.5, 0.7, LagNormalization::kContinuous);
+  for (std::size_t i = 0; i < 12; ++i) {
+    if (i == 4) continue;
+    holes.add_class(i, SessionClass{wf, 1.0 + volumes.uniform(0.0, 2.0)});
+  }
+  const DeferralKernel ragged(holes, LagConvention::kUniformArrival);
+  expect_evaluate_bitwise_scalar_vs_avx2(ragged, rng, "ragged n=12");
 }
 
 TEST(KernelPlanSimd, CoordinateUpdatesAreBitIdenticalScalarVsAvx2) {
@@ -276,7 +272,6 @@ TEST(KernelPlanSimd, CoordinateUpdatesAreBitIdenticalScalarVsAvx2) {
                       1.5),
       LagConvention::kUniformArrival);
   const auto plan = kernel.plan();
-  ASSERT_TRUE(plan->simd_eligible());
 
   math::Vector rewards = random_rewards(rng, n, 1.5);
   FlowState scalar_state, simd_state;
