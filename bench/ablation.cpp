@@ -4,7 +4,6 @@
 //  A3  smoothing accuracy: objective gap vs mu
 //  A4  carry-over on/off: what the dynamic model adds over the static one
 //  A5  fluid-vs-stochastic optimality gap at the dynamic optimum
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -13,17 +12,6 @@
 #include "dynamic/dynamic_optimizer.hpp"
 #include "dynamic/paper_dynamic.hpp"
 #include "dynamic/stochastic_sim.hpp"
-
-namespace {
-
-double seconds_since(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace tdp;
@@ -37,12 +25,12 @@ int main() {
     StaticOptimizerOptions plain;
     plain.fista.accelerated = false;
     plain.fista.max_iterations = 20000;
-    auto t0 = std::chrono::steady_clock::now();
+    auto t0 = bench::Clock::now();
     const auto fast = optimize_static_prices(model, accel);
-    const double fast_s = seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
+    const double fast_s = bench::seconds_since(t0);
+    t0 = bench::Clock::now();
     const auto slow = optimize_static_prices(model, plain);
-    const double slow_s = seconds_since(t0);
+    const double slow_s = bench::seconds_since(t0);
     std::printf("\nA1  FISTA vs plain projected gradient (48p static):\n");
     TextTable t({"Solver", "Iterations", "Time (s)", "Final cost"});
     t.add_row({"FISTA", std::to_string(fast.iterations),

@@ -54,15 +54,6 @@ tdp::fleet::FleetMetrics run_fleet(std::uint64_t users,
   return driver.run_day();
 }
 
-bool identical_profiles(const tdp::fleet::FleetMetrics& a,
-                        const tdp::fleet::FleetMetrics& b) {
-  return a.offered_units == b.offered_units &&
-         a.realized_units == b.realized_units &&
-         a.sessions == b.sessions &&
-         a.deferred_sessions == b.deferred_sessions &&
-         a.reward_paid_units == b.reward_paid_units;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,7 +130,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(metrics.max_recovery_periods),
         metrics.final_health.c_str());
 
-    if (rate == 0.0 && !identical_profiles(clean, metrics)) {
+    if (rate == 0.0 && !bench::identical_profiles(clean, metrics)) {
       std::printf("  ERROR: zero-fault plan diverged from the clean run\n");
       ok = false;
     }

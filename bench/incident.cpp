@@ -19,104 +19,33 @@
 //                       DayMetrics must be bitwise identical (the engine
 //                       is a pure observer — a divergence fails the bench)
 //
-// Absolute times are normalized by calibration_seconds (the same fixed
-// reference workload as bench_kernel_suite, timed in this process) before
+// Absolute times are normalized by calibration_seconds (the shared
+// reference workload of bench_util.hpp, timed in this process) before
 // baseline comparison, so the regression gate measures code changes rather
 // than host-speed changes.
 //
 //   ./bench/bench_incident [--out BENCH_incident.json] [--users N] [--days N]
-#include <chrono>
+//                          [--max-detection-lag N]
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/fault.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "horizon/multi_day_driver.hpp"
-#include "math/matrix.hpp"
 #include "obs/incident/incident.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 namespace inc = tdp::obs::incident;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
-
-/// The 20%-duty storm plan the acceptance criteria are written against
-/// (same constants as bench_storm_recovery).
-tdp::StormRegime twenty_duty(double intensity) {
-  tdp::StormRegime regime;
-  regime.onset = 0.06;
-  regime.persist = 0.76;
-  regime.intensity = intensity;
-  return regime;
-}
-
-tdp::horizon::HorizonConfig storm_config(std::uint64_t users,
-                                         std::size_t days, bool storms,
-                                         bool engine) {
-  tdp::horizon::HorizonConfig config;
-  config.population.users = users;
-  config.population.periods = 48;
-  config.population.seed = 20110611;
-  config.shards = 32;
-  config.warmup_days = 1;
-  config.horizon_days = days;
-  config.estimation_window = 4;
-  config.estimation_min_days = 2;
-  config.estimation_starts = 2;
-  config.fault.price_pull_drop = 0.02;
-  config.fault.measurement_loss = 0.02;
-  config.fault.seed = 424242;
-  if (storms) {
-    config.fault.storm_blackout = twenty_duty(1.0);
-    config.fault.storm_channel = twenty_duty(0.5);
-    config.fault.storm_solver = twenty_duty(1.0);
-  }
+tdp::horizon::HorizonConfig incident_config(std::uint64_t users,
+                                            std::size_t days, bool storms,
+                                            bool engine) {
+  tdp::horizon::HorizonConfig config =
+      tdp::bench::storm_config(users, days, storms);
   config.incident.enabled = engine;
   return config;
-}
-
-bool days_bitwise_equal(const std::vector<tdp::horizon::DayMetrics>& a,
-                        const std::vector<tdp::horizon::DayMetrics>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t d = 0; d < a.size(); ++d) {
-    if (a[d].rewards != b[d].rewards) return false;
-    if (a[d].offered_units != b[d].offered_units) return false;
-    if (a[d].realized_units != b[d].realized_units) return false;
-    if (a[d].sessions != b[d].sessions) return false;
-    if (a[d].deferred_sessions != b[d].deferred_sessions) return false;
-    if (a[d].beta_estimate != b[d].beta_estimate) return false;
-  }
-  return true;
 }
 
 /// Ground-truth regime onsets, replayed from the same seeded Markov chains
@@ -152,72 +81,38 @@ inc::AlertKind domain_kind(tdp::FaultInjector::StormDomain dom) {
 int main(int argc, char** argv) {
   using namespace tdp;
 
-  std::string out_path;
   std::uint64_t users = 20000;
-  std::size_t days = 4;
-  std::size_t max_lag = 4;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      users = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      days = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--max-detection-lag") == 0 &&
-               i + 1 < argc) {
-      max_lag =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    }
-  }
+  std::uint64_t days = 4;
+  std::uint64_t max_lag = 4;
+  bench::Suite suite(bench::parse_args(
+      argc, argv,
+      {{"--users", &users},
+       {"--days", &days},
+       {"--max-detection-lag", &max_lag, /*zero_ok=*/true}}));
 
   bench::banner("incident",
                 "incident-engine detection lead/lag vs injected storm "
                 "onsets + pure-observer overhead");
 
-  std::vector<BenchEntry> entries;
-
-  // Calibration: the same fixed reference workload as bench_kernel_suite.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
-
   const std::size_t total_periods = (1 + days) * 48;
 
   // ---- incident_calm: zero false incidents where nothing happened ---------
   {
-    bench::BenchReport report("incident_calm");
-    horizon::MultiDayDriver driver(storm_config(users, days, false, true));
-    const auto start = Clock::now();
+    bench::SuiteReport report(suite, "incident_calm");
+    horizon::MultiDayDriver driver(incident_config(users, days, false, true));
+    const auto start = bench::Clock::now();
     while (!driver.done()) driver.step_period();
-    const double calm_wall = seconds_since(start);
+    const double calm_wall = bench::seconds_since(start);
 
     const inc::IncidentEngine& engine = *driver.incident_engine();
     const double false_incidents =
         static_cast<double>(engine.incidents_opened());
-    report.add("users", static_cast<std::uint64_t>(users));
-    report.add("days", static_cast<std::uint64_t>(days));
-    report.add("calm_wall_seconds", calm_wall);
-    report.add("calm_alerts", engine.alerts_emitted());
-    report.add("false_incidents", engine.incidents_opened());
+    report.add("users", users);
+    report.add("days", days);
+    report.gate("calm_wall_seconds", calm_wall);
+    report.gate("calm_alerts", static_cast<double>(engine.alerts_emitted()));
+    report.gate("false_incidents", false_incidents);
     report.emit();
-    entries.push_back(
-        {"incident_calm",
-         {{"calm_wall_seconds", calm_wall},
-          {"calm_alerts", static_cast<double>(engine.alerts_emitted())},
-          {"false_incidents", false_incidents}}});
     std::printf("  incident_calm      %llu alerts, %.0f incidents on the "
                 "calm run, %.3f s\n",
                 static_cast<unsigned long long>(engine.alerts_emitted()),
@@ -228,43 +123,39 @@ int main(int argc, char** argv) {
   std::vector<horizon::DayMetrics> off_days;
   double off_wall = 0.0;
   {
-    horizon::MultiDayDriver driver(storm_config(users, days, true, false));
-    const auto start = Clock::now();
+    horizon::MultiDayDriver driver(incident_config(users, days, true, false));
+    const auto start = bench::Clock::now();
     while (!driver.done()) driver.step_period();
-    off_wall = seconds_since(start);
+    off_wall = bench::seconds_since(start);
     off_days = driver.completed_days();
   }
 
-  horizon::MultiDayDriver stormy(storm_config(users, days, true, true));
-  const auto on_start = Clock::now();
+  horizon::MultiDayDriver stormy(incident_config(users, days, true, true));
+  const auto on_start = bench::Clock::now();
   while (!stormy.done()) stormy.step_period();
-  const double on_wall = seconds_since(on_start);
+  const double on_wall = bench::seconds_since(on_start);
 
-  if (!days_bitwise_equal(off_days, stormy.completed_days())) {
+  if (!bench::days_bitwise_equal(off_days, stormy.completed_days())) {
     std::printf("  ERROR: engine-on storm run diverged from engine-off "
                 "(the incident engine must be a pure observer)\n");
     return 1;
   }
 
   {
-    bench::BenchReport report("incident_overhead");
+    bench::SuiteReport report(suite, "incident_overhead");
     const double overhead = off_wall > 0.0 ? on_wall / off_wall - 1.0 : 0.0;
-    report.add("engine_off_wall_seconds", off_wall);
-    report.add("engine_on_wall_seconds", on_wall);
-    report.add("incident_overhead_fraction", overhead);
+    report.gate("engine_off_wall_seconds", off_wall);
+    report.gate("engine_on_wall_seconds", on_wall);
+    report.gate("incident_overhead_fraction", overhead);
     report.emit();
-    entries.push_back({"incident_overhead",
-                       {{"engine_off_wall_seconds", off_wall},
-                        {"engine_on_wall_seconds", on_wall},
-                        {"incident_overhead_fraction", overhead}}});
     std::printf("  incident_overhead  %.3f s on vs %.3f s off "
                 "(%.2f%% overhead), day metrics bit-identical: yes\n",
                 on_wall, off_wall, 1e2 * overhead);
   }
 
   {
-    bench::BenchReport report("incident_detection");
-    const FaultInjector truth(storm_config(users, days, true, false).fault);
+    bench::SuiteReport report(suite, "incident_detection");
+    const FaultInjector truth(bench::storm_config(users, days, true).fault);
     const inc::IncidentEngine& engine = *stormy.incident_engine();
 
     const FaultInjector::StormDomain domains[] = {
@@ -299,35 +190,26 @@ int main(int argc, char** argv) {
           ++onsets_detected;
         } else {
           std::printf("  MISSED %s onset at t=%llu (no %s alert within "
-                      "%zu periods)\n",
+                      "%llu periods)\n",
                       dom == FaultInjector::StormDomain::kBlackout ? "blackout"
                       : dom == FaultInjector::StormDomain::kChannel ? "channel"
                                                                     : "solver",
                       static_cast<unsigned long long>(t0), to_string(kind),
-                      max_lag);
+                      static_cast<unsigned long long>(max_lag));
         }
       }
     }
     const double lag_mean =
         onsets_detected ? lag_sum / static_cast<double>(onsets_detected) : 0.0;
 
-    report.add("onsets_total", static_cast<std::uint64_t>(onsets_total));
-    report.add("onsets_detected",
-               static_cast<std::uint64_t>(onsets_detected));
-    report.add("max_detection_lag_periods", lag_max);
-    report.add("mean_detection_lag_periods", lag_mean);
-    report.add("storm_alerts", engine.alerts_emitted());
-    report.add("storm_incidents", engine.incidents_opened());
+    report.gate("onsets_total", static_cast<double>(onsets_total));
+    report.gate("onsets_detected", static_cast<double>(onsets_detected));
+    report.gate("max_detection_lag_periods", static_cast<double>(lag_max));
+    report.gate("mean_detection_lag_periods", lag_mean);
+    report.gate("storm_alerts", static_cast<double>(engine.alerts_emitted()));
+    report.gate("storm_incidents",
+                static_cast<double>(engine.incidents_opened()));
     report.emit();
-    entries.push_back(
-        {"incident_detection",
-         {{"onsets_total", static_cast<double>(onsets_total)},
-          {"onsets_detected", static_cast<double>(onsets_detected)},
-          {"max_detection_lag_periods", static_cast<double>(lag_max)},
-          {"mean_detection_lag_periods", lag_mean},
-          {"storm_alerts", static_cast<double>(engine.alerts_emitted())},
-          {"storm_incidents",
-           static_cast<double>(engine.incidents_opened())}}});
     std::printf("  incident_detection %zu/%zu onsets answered, lag max %llu "
                 "mean %.2f periods; %llu alerts, %llu incidents\n",
                 onsets_detected, onsets_total,
@@ -337,28 +219,5 @@ int main(int argc, char** argv) {
     if (onsets_detected != onsets_total) return 1;
   }
 
-  // ---- BENCH_incident.json ------------------------------------------------
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      json += "    \"" + entries[e].name + "\": {";
-      for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
-        if (f) json += ", ";
-        append_json_field(json, entries[e].fields[f].first.c_str(),
-                          entries[e].fields[f].second);
-      }
-      json += e + 1 < entries.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-  return 0;
+  return suite.finish();
 }

@@ -15,17 +15,13 @@
 // Every reference/fused pair is bitwise identical (tests/test_kernel_plan);
 // the suite records wall time per side and the speedup ratio. Ratios are
 // machine-independent and gate the ISSUE's speedup floors; absolute times
-// are normalized by calibration_seconds (a fixed reference workload timed in
-// the same process) before baseline comparison, so the 15% regression gate
-// tolerates host-speed differences.
+// are normalized by calibration_seconds (the shared reference workload of
+// bench_util.hpp, timed in the same process) before baseline comparison, so
+// the 15% regression gate tolerates host-speed differences.
 //
 //   ./bench/bench_kernel_suite --out BENCH_kernel.json [--reps N]
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -45,33 +41,6 @@
 #include "math/piecewise_linear.hpp"
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Time `fn()` `reps` times and return the total wall seconds. One untimed
-/// warmup call populates lazy caches (plans, memo entries).
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
 
 /// The paper's 12-period mix with concave (gamma < 1) reward sensitivity:
 /// the configuration where the kernel cannot fall back to linear unit
@@ -107,40 +76,11 @@ tdp::math::Vector mid_rewards(std::size_t n, double level) {
 int main(int argc, char** argv) {
   using namespace tdp;
 
-  std::string out_path;
-  std::size_t reps = 200;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    }
-  }
+  std::uint64_t reps = 200;
+  bench::Suite suite(bench::parse_args(argc, argv, {{"--reps", &reps}}));
 
   bench::banner("kernel_suite",
                 "fused SoA kernel vs reference path microbenches");
-
-  std::vector<BenchEntry> entries;
-
-  // Calibration: a fixed reference workload whose cost tracks host speed.
-  // Baseline comparisons divide wall times by this, so the regression gate
-  // measures code changes, not machine changes.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards = mid_rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
 
   // ---- kernel_eval: full flows + derivatives, reference vs plan ----------
   {
@@ -150,7 +90,7 @@ int main(int argc, char** argv) {
     const math::Vector rewards = mid_rewards(n, 0.8);
 
     double sink = 0.0;
-    const double reference_seconds = time_reps(reps, [&] {
+    const double reference_seconds = bench::time_reps(reps, [&] {
       // The per-iteration kernel work of the reference smoothed cost +
       // gradient: inflow, inflow derivative and outflow per period, plus
       // the n^2 pair-volume derivatives the gradient sums.
@@ -167,7 +107,7 @@ int main(int argc, char** argv) {
 
     const auto plan = kernel.plan();
     FlowState state;
-    const double fused_seconds = time_reps(reps, [&] {
+    const double fused_seconds = bench::time_reps(reps, [&] {
       plan->evaluate(rewards, /*with_derivatives=*/true, state);
       sink += state.inflow[0];
     });
@@ -179,16 +119,12 @@ int main(int argc, char** argv) {
     std::printf("  kernel_eval          ref %.3f ms  fused %.3f ms  (%.1fx)\n",
                 1e3 * reference_seconds / static_cast<double>(reps),
                 1e3 * fused_seconds / static_cast<double>(reps), speedup);
-    bench::BenchReport report("kernel_eval");
-    report.add("reps", static_cast<std::uint64_t>(reps));
-    report.add("reference_seconds", reference_seconds);
-    report.add("fused_seconds", fused_seconds);
-    report.add("speedup", speedup);
+    bench::SuiteReport report(suite, "kernel_eval");
+    report.add("reps", reps);
+    report.gate("reference_seconds", reference_seconds);
+    report.gate("fused_seconds", fused_seconds);
+    report.gate("speedup", speedup);
     report.emit();
-    entries.push_back({"kernel_eval",
-                       {{"reference_seconds", reference_seconds},
-                        {"fused_seconds", fused_seconds},
-                        {"speedup", speedup}}});
   }
 
   // ---- static_solve: nonlinear FISTA solve, reference vs fused -----------
@@ -199,14 +135,14 @@ int main(int argc, char** argv) {
     StaticOptimizerOptions fused_options;
     fused_options.fused = true;
 
-    auto start = Clock::now();
+    auto start = bench::Clock::now();
     const PricingSolution reference =
         optimize_static_prices(model, reference_options);
-    const double reference_seconds = seconds_since(start);
+    const double reference_seconds = bench::seconds_since(start);
 
-    start = Clock::now();
+    start = bench::Clock::now();
     const PricingSolution fused = optimize_static_prices(model, fused_options);
-    const double fused_seconds = seconds_since(start);
+    const double fused_seconds = bench::seconds_since(start);
 
     // The two solves are bitwise identical; any drift here is a bug.
     if (reference.total_cost != fused.total_cost) {
@@ -218,16 +154,12 @@ int main(int argc, char** argv) {
         fused_seconds > 0.0 ? reference_seconds / fused_seconds : 0.0;
     std::printf("  static_solve         ref %.3f s   fused %.3f s   (%.1fx)\n",
                 reference_seconds, fused_seconds, speedup);
-    bench::BenchReport report("static_solve");
-    report.add("reference_seconds", reference_seconds);
-    report.add("fused_seconds", fused_seconds);
-    report.add("speedup", speedup);
+    bench::SuiteReport report(suite, "static_solve");
+    report.gate("reference_seconds", reference_seconds);
+    report.gate("fused_seconds", fused_seconds);
+    report.gate("speedup", speedup);
     report.add("iterations", static_cast<std::uint64_t>(fused.iterations));
     report.emit();
-    entries.push_back({"static_solve",
-                       {{"reference_seconds", reference_seconds},
-                        {"fused_seconds", fused_seconds},
-                        {"speedup", speedup}}});
   }
 
   // ---- online_resolve: one period's 1-D re-solve, ref vs incremental -----
@@ -240,7 +172,7 @@ int main(int argc, char** argv) {
     const std::size_t solve_reps = 24;  // two full days of period solves
     double sink = 0.0;
     std::size_t period = 0;
-    const double reference_seconds = time_reps(solve_reps, [&] {
+    const double reference_seconds = bench::time_reps(solve_reps, [&] {
       // Reference online step: golden section where every candidate is a
       // full O(n^2) total_cost.
       const auto objective = [&](double candidate) {
@@ -255,7 +187,7 @@ int main(int argc, char** argv) {
     FlowState scratch;
     model.prime_flow_state(rewards, /*with_derivatives=*/false, scratch);
     period = 0;
-    const double incremental_seconds = time_reps(solve_reps, [&] {
+    const double incremental_seconds = bench::time_reps(solve_reps, [&] {
       const auto objective = [&](double candidate) {
         return model.total_cost_with_coordinate(period, candidate, scratch);
       };
@@ -276,16 +208,12 @@ int main(int argc, char** argv) {
         "  online_resolve       ref %.3f ms  incr %.3f ms  (%.1fx)\n",
         1e3 * reference_seconds / static_cast<double>(solve_reps),
         1e3 * incremental_seconds / static_cast<double>(solve_reps), speedup);
-    bench::BenchReport report("online_resolve");
+    bench::SuiteReport report(suite, "online_resolve");
     report.add("reps", static_cast<std::uint64_t>(solve_reps));
-    report.add("reference_seconds", reference_seconds);
-    report.add("incremental_seconds", incremental_seconds);
-    report.add("speedup", speedup);
+    report.gate("reference_seconds", reference_seconds);
+    report.gate("incremental_seconds", incremental_seconds);
+    report.gate("speedup", speedup);
     report.emit();
-    entries.push_back({"online_resolve",
-                       {{"reference_seconds", reference_seconds},
-                        {"incremental_seconds", incremental_seconds},
-                        {"speedup", speedup}}});
   }
 
   // ---- deferral_table_build: fleet per-period table, ref vs table --------
@@ -301,7 +229,7 @@ int main(int argc, char** argv) {
 
     double sink = 0.0;
     const std::size_t table_reps = 100;
-    const double reference_seconds = time_reps(table_reps, [&] {
+    const double reference_seconds = bench::time_reps(table_reps, [&] {
       // The pre-table construction loop: one lag_weight quadrature per
       // (class, lag).
       for (std::size_t c = 0; c < classes; ++c) {
@@ -313,7 +241,7 @@ int main(int argc, char** argv) {
         }
       }
     });
-    const double table_seconds = time_reps(table_reps, [&] {
+    const double table_seconds = bench::time_reps(table_reps, [&] {
       const fleet::DeferralTable table(population, schedules, 0);
       sink += table.cumulative(0, 1);
     });
@@ -325,16 +253,12 @@ int main(int argc, char** argv) {
         "  deferral_table_build ref %.3f ms  table %.3f ms (%.1fx)\n",
         1e3 * reference_seconds / static_cast<double>(table_reps),
         1e3 * table_seconds / static_cast<double>(table_reps), speedup);
-    bench::BenchReport report("deferral_table_build");
+    bench::SuiteReport report(suite, "deferral_table_build");
     report.add("reps", static_cast<std::uint64_t>(table_reps));
-    report.add("reference_seconds", reference_seconds);
-    report.add("table_seconds", table_seconds);
-    report.add("speedup", speedup);
+    report.gate("reference_seconds", reference_seconds);
+    report.gate("table_seconds", table_seconds);
+    report.gate("speedup", speedup);
     report.emit();
-    entries.push_back({"deferral_table_build",
-                       {{"reference_seconds", reference_seconds},
-                        {"table_seconds", table_seconds},
-                        {"speedup", speedup}}});
   }
 
   // ---- fleet_shard_step: one shard, one period, 20k users ---------------
@@ -352,7 +276,7 @@ int main(int argc, char** argv) {
     fleet::StripedAggregator aggregator(1, population.periods());
     double sink = 0.0;
     const std::size_t shard_reps = 10;
-    const double shard_seconds = time_reps(shard_reps, [&] {
+    const double shard_seconds = bench::time_reps(shard_reps, [&] {
       shard.simulate_period(0, 0, table, aggregator);
       sink += aggregator.stripe(0, 0).offered_work;
     });
@@ -360,37 +284,12 @@ int main(int argc, char** argv) {
 
     std::printf("  fleet_shard_step     %.3f ms per 20k-user period\n",
                 1e3 * shard_seconds / static_cast<double>(shard_reps));
-    bench::BenchReport report("fleet_shard_step");
+    bench::SuiteReport report(suite, "fleet_shard_step");
     report.add("reps", static_cast<std::uint64_t>(shard_reps));
     report.add("users", static_cast<std::uint64_t>(config.users));
-    report.add("shard_seconds", shard_seconds);
+    report.gate("shard_seconds", shard_seconds);
     report.emit();
-    entries.push_back(
-        {"fleet_shard_step", {{"shard_seconds", shard_seconds}}});
   }
 
-  // ---- BENCH_kernel.json --------------------------------------------------
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      json += "    \"" + entries[e].name + "\": {";
-      for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
-        if (f) json += ", ";
-        append_json_field(json, entries[e].fields[f].first.c_str(),
-                          entries[e].fields[f].second);
-      }
-      json += e + 1 < entries.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-  return 0;
+  return suite.finish();
 }

@@ -26,45 +26,20 @@
 //
 //   ./bench/bench_mechanism_arena [--out BENCH_mechanism.json]
 //                                 [--users N] [--threads N]
-#include <chrono>
+//
+// --threads 0 (the default) runs on the default thread count.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "fleet/fleet_driver.hpp"
 #include "fleet/fleet_metrics.hpp"
-#include "math/matrix.hpp"
 #include "mech/mechanism.hpp"
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
 
 tdp::fleet::FleetDriverConfig arena_config(std::uint64_t users,
                                            std::size_t threads,
@@ -81,14 +56,6 @@ tdp::fleet::FleetDriverConfig arena_config(std::uint64_t users,
   return config;
 }
 
-bool identical_profiles(const tdp::fleet::FleetMetrics& a,
-                        const tdp::fleet::FleetMetrics& b) {
-  return a.offered_units == b.offered_units &&
-         a.realized_units == b.realized_units && a.sessions == b.sessions &&
-         a.deferred_sessions == b.deferred_sessions &&
-         a.reward_paid_units == b.reward_paid_units;
-}
-
 struct ArenaRow {
   std::string name;
   tdp::fleet::FleetMetrics metrics;
@@ -103,42 +70,14 @@ struct ArenaRow {
 int main(int argc, char** argv) {
   using namespace tdp;
 
-  std::string out_path;
   std::uint64_t users = 100000;
-  std::size_t threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      users = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    }
-  }
+  std::uint64_t threads = 0;
+  bench::Suite suite(bench::parse_args(
+      argc, argv,
+      {{"--users", &users}, {"--threads", &threads, /*zero_ok=*/true}}));
 
   bench::banner("mechanism_arena",
                 "pricing mechanisms on bit-identical seeded fleets");
-
-  // Calibration: the same fixed reference workload as bench_kernel_suite /
-  // bench_horizon, so all suites' baselines normalize host speed the same
-  // way.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
 
   const mech::MechanismKind kinds[] = {
       mech::MechanismKind::kFlatTip,
@@ -152,24 +91,24 @@ int main(int argc, char** argv) {
     ArenaRow row;
     row.name = mech::to_string(kind);
 
-    bench::BenchReport report(std::string("arena_") + row.name);
+    bench::SuiteReport report(suite, "arena_" + row.name);
     report.set_mechanism(row.name);
 
-    const auto start = Clock::now();
+    const auto start = bench::Clock::now();
     fleet::FleetDriver driver(arena_config(users, threads, kind));
     // The cost model every mechanism is judged against: the shared
     // baseline fluid model (capacity + backlog cost), NOT the mechanism's
     // own view — comparisons are on what the fleet actually did.
     const DynamicModel judge = fleet::baseline_fluid_model(driver.population());
     row.metrics = driver.run_day();
-    row.run_seconds = seconds_since(start);
+    row.run_seconds = bench::seconds_since(start);
 
     {
       // Thread-count invariance: the same day on 1 thread must reproduce
       // the aggregates bitwise — for every mechanism, not just TubeOnline.
       fleet::FleetDriver serial(arena_config(users, 1, kind));
       const fleet::FleetMetrics serial_metrics = serial.run_day();
-      if (!identical_profiles(row.metrics, serial_metrics)) {
+      if (!bench::identical_profiles(row.metrics, serial_metrics)) {
         std::printf("  ERROR: %s aggregates differ across thread counts\n",
                     row.name.c_str());
         return 1;
@@ -188,17 +127,17 @@ int main(int argc, char** argv) {
                    row.metrics.reward_paid_units;
     row.welfare = 0.5 * row.metrics.reward_paid_units;
 
-    report.add("users", static_cast<std::uint64_t>(users));
+    report.add("users", users);
     report.add("periods", static_cast<std::uint64_t>(row.metrics.periods));
     report.add("p2a_tip", row.metrics.peak_to_average_tip);
     report.add("p2a_tdp", row.metrics.peak_to_average_tdp);
-    report.add("p2a_reduction", row.p2a_reduction);
-    report.add("isp_cost_units", row.isp_cost);
+    report.gate("p2a_reduction", row.p2a_reduction);
+    report.gate("isp_cost_units", row.isp_cost);
     report.add("reward_paid_units", row.metrics.reward_paid_units);
-    report.add("user_welfare_units", row.welfare);
+    report.gate("user_welfare_units", row.welfare);
     report.add("rebate_budget_pool", row.metrics.rebate_budget_pool);
     report.add("rebate_budget_spent", row.metrics.rebate_budget_spent);
-    report.add("run_seconds", row.run_seconds);
+    report.gate("run_seconds", row.run_seconds);
     report.emit();
     rows.push_back(std::move(row));
   }
@@ -217,30 +156,5 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < rows.size(); ++e) {
-      const ArenaRow& row = rows[e];
-      json += "    \"arena_" + row.name + "\": {";
-      append_json_field(json, "p2a_reduction", row.p2a_reduction);
-      json += ", ";
-      append_json_field(json, "isp_cost_units", row.isp_cost);
-      json += ", ";
-      append_json_field(json, "user_welfare_units", row.welfare);
-      json += ", ";
-      append_json_field(json, "run_seconds", row.run_seconds);
-      json += e + 1 < rows.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-  return 0;
+  return suite.finish();
 }

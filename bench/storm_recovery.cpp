@@ -20,92 +20,25 @@
 //                     uninterrupted run's (a mismatch fails the bench) and
 //                     recovery_wall_seconds is gated against the baseline
 //
-// Absolute times are normalized by calibration_seconds (the same fixed
-// reference workload as bench_kernel_suite, timed in this process) before
+// Absolute times are normalized by calibration_seconds (the shared
+// reference workload of bench_util.hpp, timed in this process) before
 // baseline comparison, so the regression gate measures code changes rather
 // than host-speed changes.
 //
 //   ./bench/bench_storm_recovery [--out BENCH_storm.json] [--users N]
 //                                [--days N] [--every K]
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "horizon/checkpoint.hpp"
 #include "horizon/checkpoint_stream.hpp"
 #include "horizon/multi_day_driver.hpp"
-#include "math/matrix.hpp"
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
-
-/// The 20%-duty storm plan the acceptance criteria are written against:
-/// onset 0.06, persist 0.76 -> duty 0.06/(0.06+0.24) = 0.2, mean burst
-/// ~4.2 periods.
-tdp::StormRegime twenty_duty(double intensity) {
-  tdp::StormRegime regime;
-  regime.onset = 0.06;
-  regime.persist = 0.76;
-  regime.intensity = intensity;
-  return regime;
-}
-
-tdp::horizon::HorizonConfig storm_config(std::uint64_t users,
-                                         std::size_t days, bool storms) {
-  tdp::horizon::HorizonConfig config;
-  config.population.users = users;
-  config.population.periods = 48;
-  config.population.seed = 20110611;
-  config.shards = 32;
-  config.warmup_days = 1;
-  config.horizon_days = days;
-  config.estimation_window = 4;
-  config.estimation_min_days = 2;
-  config.estimation_starts = 2;
-  // Mild i.i.d. chaos under the storms, like the horizon bench.
-  config.fault.price_pull_drop = 0.02;
-  config.fault.measurement_loss = 0.02;
-  config.fault.seed = 424242;
-  if (storms) {
-    config.fault.storm_blackout = twenty_duty(1.0);
-    config.fault.storm_channel = twenty_duty(0.5);
-    config.fault.storm_solver = twenty_duty(1.0);
-  }
-  return config;
-}
 
 double mean_p2a_reduction(const std::vector<tdp::horizon::DayMetrics>& days,
                           std::size_t warmup_days) {
@@ -120,27 +53,12 @@ double mean_p2a_reduction(const std::vector<tdp::horizon::DayMetrics>& days,
   return counted ? total / static_cast<double>(counted) : 0.0;
 }
 
-bool days_bitwise_equal(const std::vector<tdp::horizon::DayMetrics>& a,
-                        const std::vector<tdp::horizon::DayMetrics>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t d = 0; d < a.size(); ++d) {
-    if (a[d].rewards != b[d].rewards) return false;
-    if (a[d].offered_units != b[d].offered_units) return false;
-    if (a[d].realized_units != b[d].realized_units) return false;
-    if (a[d].sessions != b[d].sessions) return false;
-    if (a[d].deferred_sessions != b[d].deferred_sessions) return false;
-    if (a[d].beta_estimate != b[d].beta_estimate) return false;
-    if (a[d].fallback_periods != b[d].fallback_periods) return false;
-  }
-  return true;
-}
-
 double run_wall(const tdp::horizon::HorizonConfig& config,
                 std::vector<tdp::horizon::DayMetrics>* days_out = nullptr) {
   tdp::horizon::MultiDayDriver driver(config);
-  const auto start = Clock::now();
+  const auto start = tdp::bench::Clock::now();
   while (!driver.done()) driver.step_period();
-  const double wall = seconds_since(start);
+  const double wall = tdp::bench::seconds_since(start);
   if (days_out != nullptr) *days_out = driver.completed_days();
   return wall;
 }
@@ -150,49 +68,19 @@ double run_wall(const tdp::horizon::HorizonConfig& config,
 int main(int argc, char** argv) {
   using namespace tdp;
 
-  std::string out_path;
   std::uint64_t users = 20000;
-  std::size_t days = 4;
-  std::size_t every = 8;  // streamed commit cadence in periods
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      users = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      days = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--every") == 0 && i + 1 < argc) {
-      every = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    }
-  }
+  std::uint64_t days = 4;
+  std::uint64_t every = 8;  // streamed commit cadence in periods
+  bench::Suite suite(bench::parse_args(
+      argc, argv,
+      {{"--users", &users}, {"--days", &days}, {"--every", &every}}));
 
   bench::banner("storm_recovery",
                 "storm-mode P2A retention + streaming checkpoint overhead "
                 "+ crash-under-storm recovery");
 
-  std::vector<BenchEntry> entries;
-
-  // Calibration: the same fixed reference workload as bench_kernel_suite,
-  // so both suites' baselines normalize host speed identically.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
-
-  const horizon::HorizonConfig calm = storm_config(users, days, false);
-  const horizon::HorizonConfig stormy = storm_config(users, days, true);
+  const horizon::HorizonConfig calm = bench::storm_config(users, days, false);
+  const horizon::HorizonConfig stormy = bench::storm_config(users, days, true);
   const std::size_t total_steps =
       (stormy.warmup_days + stormy.horizon_days) * stormy.population.periods;
 
@@ -200,7 +88,7 @@ int main(int argc, char** argv) {
   std::vector<horizon::DayMetrics> storm_days;
   double storm_wall = 0.0;
   {
-    bench::BenchReport report("storm_week");
+    bench::SuiteReport report(suite, "storm_week");
     std::vector<horizon::DayMetrics> calm_days;
     const double calm_wall = run_wall(calm, &calm_days);
     storm_wall = run_wall(stormy, &storm_days);
@@ -212,20 +100,14 @@ int main(int argc, char** argv) {
     const double retention =
         calm_reduction > 0.0 ? storm_reduction / calm_reduction : 0.0;
 
-    report.add("users", static_cast<std::uint64_t>(users));
-    report.add("days", static_cast<std::uint64_t>(days));
-    report.add("calm_wall_seconds", calm_wall);
-    report.add("calm_p2a_reduction", calm_reduction);
-    report.add("storm_p2a_reduction", storm_reduction);
-    report.add("p2a_retention", retention);
-    report.add("storm_wall_seconds", storm_wall);
+    report.add("users", users);
+    report.add("days", days);
+    report.gate("calm_wall_seconds", calm_wall);
+    report.gate("calm_p2a_reduction", calm_reduction);
+    report.gate("storm_p2a_reduction", storm_reduction);
+    report.gate("p2a_retention", retention);
+    report.gate("storm_wall_seconds", storm_wall);
     report.emit();
-    entries.push_back({"storm_week",
-                       {{"calm_wall_seconds", calm_wall},
-                        {"calm_p2a_reduction", calm_reduction},
-                        {"storm_p2a_reduction", storm_reduction},
-                        {"p2a_retention", retention},
-                        {"storm_wall_seconds", storm_wall}}});
     std::printf("  storm_week         p2a reduction %.3f calm -> %.3f storm "
                 "(retention %.3f), %.3f s\n",
                 calm_reduction, storm_reduction, retention, storm_wall);
@@ -234,33 +116,31 @@ int main(int argc, char** argv) {
   // ---- stream_overhead: streamed v2 commits vs no checkpointing -----------
   const std::string ck_path = "BENCH_storm_ck.bin";
   {
-    bench::BenchReport report("stream_overhead");
+    bench::SuiteReport report(suite, "stream_overhead");
     horizon::HorizonConfig streaming = stormy;
     streaming.checkpoint_path = ck_path;
     streaming.checkpoint_every_periods = every;
 
     horizon::MultiDayDriver driver(streaming);
-    const auto start = Clock::now();
+    const auto start = bench::Clock::now();
     while (!driver.done()) driver.step_period();
-    const double streamed_wall = seconds_since(start);
+    const double streamed_wall = bench::seconds_since(start);
     const double overhead =
         storm_wall > 0.0 ? streamed_wall / storm_wall - 1.0 : 0.0;
 
-    report.add("commit_every_periods", static_cast<std::uint64_t>(every));
-    report.add("streamed_wall_seconds", streamed_wall);
-    report.add("stream_overhead_fraction", overhead);
+    report.add("commit_every_periods", every);
+    report.gate("streamed_wall_seconds", streamed_wall);
+    report.gate("stream_overhead_fraction", overhead);
     report.emit();
-    entries.push_back({"stream_overhead",
-                       {{"streamed_wall_seconds", streamed_wall},
-                        {"stream_overhead_fraction", overhead}}});
     std::printf("  stream_overhead    %.3f s streamed vs %.3f s bare "
-                "(%.1f%% overhead, commit every %zu periods)\n",
-                streamed_wall, storm_wall, 1e2 * overhead, every);
+                "(%.1f%% overhead, commit every %llu periods)\n",
+                streamed_wall, storm_wall, 1e2 * overhead,
+                static_cast<unsigned long long>(every));
   }
 
   // ---- storm_recovery: kill mid-storm, recover, resume, verify ------------
   {
-    bench::BenchReport report("storm_recovery");
+    bench::SuiteReport report(suite, "storm_recovery");
     horizon::HorizonConfig streaming = stormy;
     streaming.checkpoint_path = ck_path;
     streaming.checkpoint_every_periods = every;
@@ -275,18 +155,18 @@ int main(int argc, char** argv) {
 
     horizon::HorizonConfig resume = stormy;  // no streaming on the resume
     resume.shards = 16;                      // recover onto a new layout
-    const auto recover_start = Clock::now();
+    const auto recover_start = bench::Clock::now();
     const horizon::CheckpointData recovered =
         horizon::load_checkpoint_file_recover(ck_path);
     std::unique_ptr<horizon::MultiDayDriver> restored =
         horizon::MultiDayDriver::restore(resume, recovered);
-    const double recovery_wall = seconds_since(recover_start);
+    const double recovery_wall = bench::seconds_since(recover_start);
 
-    const auto resume_start = Clock::now();
+    const auto resume_start = bench::Clock::now();
     while (!restored->done()) restored->step_period();
-    const double resume_wall = seconds_since(resume_start);
+    const double resume_wall = bench::seconds_since(resume_start);
 
-    if (!days_bitwise_equal(storm_days, restored->completed_days())) {
+    if (!bench::days_bitwise_equal(storm_days, restored->completed_days())) {
       std::printf("  ERROR: resumed storm run diverged from the "
                   "uninterrupted run (kill step %zu)\n",
                   kill_step);
@@ -294,12 +174,9 @@ int main(int argc, char** argv) {
     }
 
     report.add("kill_step", static_cast<std::uint64_t>(kill_step));
-    report.add("recovery_wall_seconds", recovery_wall);
-    report.add("resume_wall_seconds", resume_wall);
+    report.gate("recovery_wall_seconds", recovery_wall);
+    report.gate("resume_wall_seconds", resume_wall);
     report.emit();
-    entries.push_back({"storm_recovery",
-                       {{"recovery_wall_seconds", recovery_wall},
-                        {"resume_wall_seconds", resume_wall}}});
     std::printf("  storm_recovery     recovered + restored in %.3f s, "
                 "resumed %zu steps in %.3f s, bit-identical: yes\n",
                 recovery_wall, total_steps - kill_step, resume_wall);
@@ -307,28 +184,5 @@ int main(int argc, char** argv) {
   std::remove(ck_path.c_str());
   std::remove((ck_path + ".tmp").c_str());
 
-  // ---- BENCH_storm.json ---------------------------------------------------
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      json += "    \"" + entries[e].name + "\": {";
-      for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
-        if (f) json += ", ";
-        append_json_field(json, entries[e].fields[f].first.c_str(),
-                          entries[e].fields[f].second);
-      }
-      json += e + 1 < entries.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-  return 0;
+  return suite.finish();
 }
