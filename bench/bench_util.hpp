@@ -167,7 +167,7 @@ inline double seconds_since(Clock::time_point start) {
 }
 
 /// Time `fn()` `reps` times and return the total wall seconds. One untimed
-/// warm-up call first populates lazy caches (plans, memo entries).
+/// warm-up call first populates lazy caches (plans, validity bounds).
 template <typename Fn>
 double time_reps(std::size_t reps, Fn&& fn) {
   fn();

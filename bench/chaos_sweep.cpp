@@ -17,10 +17,12 @@
 //
 //   ./bench/bench_chaos_sweep            # 20k users, rates 0/1%/5%/20%
 //   ./bench/bench_chaos_sweep 50000      # custom fleet size
+//
+// Any other argument (a second size, zero, "abc", a flag) prints usage to
+// stderr and exits 2.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -59,8 +61,11 @@ tdp::fleet::FleetMetrics run_fleet(std::uint64_t users,
 int main(int argc, char** argv) {
   using namespace tdp;
 
-  std::uint64_t users = 20000;
-  if (argc > 1) users = std::strtoull(argv[1], nullptr, 10);
+  std::vector<std::uint64_t> sizes;
+  if (!bench::parse_args(argc, argv, {}, &sizes).empty() || sizes.size() > 1) {
+    bench::exit_with_usage(argv[0], {}, /*takes_users=*/true);
+  }
+  const std::uint64_t users = sizes.empty() ? 20000 : sizes.front();
   const std::vector<double> rates = {0.0, 0.01, 0.05, 0.20};
 
   bench::banner("chaos_sweep",

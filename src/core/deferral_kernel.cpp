@@ -1,9 +1,6 @@
 #include "core/deferral_kernel.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <unordered_map>
@@ -13,7 +10,6 @@
 #include "common/error.hpp"
 #include "core/kernel_plan.hpp"
 #include "math/quadrature.hpp"
-#include "obs/registry.hpp"
 
 namespace tdp {
 
@@ -66,76 +62,15 @@ void lag_weight_pair(const WaitingFunction& w, double reward, std::size_t lag,
   derivative_out = dsum * half;
 }
 
-namespace {
-
-/// Fingerprint of a demand snapshot: convention, period structure, the
-/// identity of every waiting-function object, and the exact bit pattern of
-/// every volume. Exact equality (not just hash equality) gates cache hits.
-struct KernelKey {
-  std::vector<std::uint64_t> words;
-
-  bool operator==(const KernelKey& other) const {
-    return words == other.words;
-  }
-
-  std::uint64_t hash() const {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-    for (std::uint64_t w : words) {
-      h ^= w;
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
-KernelKey make_key(const DemandProfile& demand, LagConvention convention) {
-  KernelKey key;
-  const std::size_t n = demand.periods();
-  key.words.reserve(2 + 3 * n);
-  key.words.push_back(static_cast<std::uint64_t>(convention));
-  key.words.push_back(static_cast<std::uint64_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& classes = demand.classes(i);
-    key.words.push_back(static_cast<std::uint64_t>(classes.size()));
-    for (const SessionClass& sc : classes) {
-      key.words.push_back(
-          static_cast<std::uint64_t>(
-              reinterpret_cast<std::uintptr_t>(sc.waiting.get())));
-      key.words.push_back(std::bit_cast<std::uint64_t>(sc.volume));
-    }
-  }
-  return key;
-}
-
-/// Memo effectiveness lives in the metrics registry (always on — the
-/// static DeferralKernel::cache_hits()/cache_misses() accessors are views
-/// over these counters and must work with telemetry disabled too).
-obs::Counter& memo_hits_counter() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("kernel.memo_hits_total");
-  return counter;
-}
-
-obs::Counter& memo_misses_counter() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("kernel.memo_misses_total");
-  return counter;
-}
-
-}  // namespace
-
-/// Immutable shared construction state. The memo cache retains recently
-/// built states (including their waiting-function shared_ptrs, so a cached
-/// pointer-identity key can never alias a new object at a reused address).
+/// Construction state shared by copies of a kernel: the immutable demand
+/// snapshot and unit tables, plus the lazily computed validity bound and
+/// evaluation plan, so every copy computes those at most once between them.
 struct DeferralKernelState {
-  std::size_t periods = 0;
-  LagConvention convention = LagConvention::kPeriodStart;
   bool linear = false;
   std::vector<std::vector<SessionClass>> classes;
   std::vector<double> unit;         // [from * n + to], empty unless linear
   std::vector<double> unit_inflow;  // [to], empty unless linear
 
-  // Lazily computed, memoized per state.
   mutable std::once_flag safe_reward_once;
   mutable double safe_reward = 0.0;
   mutable std::once_flag plan_once;
@@ -147,11 +82,10 @@ namespace {
 std::shared_ptr<const DeferralKernelState> build_state(
     const DemandProfile& demand, LagConvention convention) {
   auto state = std::make_shared<DeferralKernelState>();
-  state->periods = demand.periods();
-  state->convention = convention;
-  state->classes.reserve(state->periods);
+  const std::size_t n = demand.periods();
+  state->classes.reserve(n);
   state->linear = true;
-  for (std::size_t i = 0; i < state->periods; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     state->classes.push_back(demand.classes(i));
     for (const SessionClass& sc : state->classes.back()) {
       state->linear = state->linear && sc.waiting->is_linear_in_reward();
@@ -159,8 +93,6 @@ std::shared_ptr<const DeferralKernelState> build_state(
   }
 
   if (!state->linear) return state;
-
-  const std::size_t n = state->periods;
 
   // Unit-reward lag weights per distinct waiting function, computed once
   // per (function, lag) instead of once per (pair, class). Every weight is
@@ -208,59 +140,13 @@ std::shared_ptr<const DeferralKernelState> build_state(
   return state;
 }
 
-/// Bounded FIFO memo of recently built states.
-class KernelStateCache {
- public:
-  static constexpr std::size_t kCapacity = 64;
-
-  std::shared_ptr<const DeferralKernelState> get(const DemandProfile& demand,
-                                                 LagConvention convention) {
-    KernelKey key = make_key(demand, convention);
-    const std::uint64_t hash = key.hash();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (const Entry& e : entries_) {
-        if (e.hash == hash && e.key == key) {
-          memo_hits_counter().add_always(1);
-          return e.state;
-        }
-      }
-    }
-    memo_misses_counter().add_always(1);
-    auto state = build_state(demand, convention);
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Another thread may have built the same state concurrently; prefer the
-    // cached one so equal profiles share a single state.
-    for (const Entry& e : entries_) {
-      if (e.hash == hash && e.key == key) return e.state;
-    }
-    entries_.push_back(Entry{hash, std::move(key), state});
-    if (entries_.size() > kCapacity) entries_.pop_front();
-    return state;
-  }
-
- private:
-  struct Entry {
-    std::uint64_t hash;
-    KernelKey key;
-    std::shared_ptr<const DeferralKernelState> state;
-  };
-  std::mutex mutex_;
-  std::deque<Entry> entries_;
-};
-
-KernelStateCache& state_cache() {
-  static KernelStateCache cache;
-  return cache;
-}
-
 }  // namespace
 
 DeferralKernel::DeferralKernel(const DemandProfile& demand,
                                LagConvention convention)
     : periods_(demand.periods()),
       convention_(convention),
-      state_(state_cache().get(demand, convention)) {
+      state_(build_state(demand, convention)) {
   linear_ = state_->linear;
 }
 
@@ -398,16 +284,6 @@ const std::vector<double>& DeferralKernel::unit_table() const {
 
 const std::vector<double>& DeferralKernel::unit_inflow_table() const {
   return state_->unit_inflow;
-}
-
-const void* DeferralKernel::state_id() const { return state_.get(); }
-
-std::uint64_t DeferralKernel::cache_hits() {
-  return memo_hits_counter().value();
-}
-
-std::uint64_t DeferralKernel::cache_misses() {
-  return memo_misses_counter().value();
 }
 
 }  // namespace tdp

@@ -17,17 +17,15 @@
 // and precomputes unit-reward coefficients when every waiting function is
 // linear in the reward, making model evaluations pure arithmetic.
 //
-// Construction is memoized: kernels built from bitwise-identical demand
-// snapshots (same waiting-function objects, same volume bit patterns, same
-// convention) share one immutable state — the unit tables, the lazily
-// computed validity bound, and the fused evaluation plan (core/kernel_plan)
-// are computed once per distinct profile, not once per model. The batch
-// solver's anchor pattern and the online pricer's confirmed-forecast
-// rescale (a scale-by-1.0 no-op) both hit this cache.
+// The snapshot, the unit tables, the lazily computed validity bound and the
+// fused evaluation plan (core/kernel_plan) live in one shared state, so a
+// copied kernel (and so a copied model) reuses them instead of rebuilding.
+// Every construction builds a fresh state: callers that want to keep a plan
+// keep the kernel (the online pricer keeps its model when a measurement
+// confirms the forecast).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -106,21 +104,13 @@ class DeferralKernel {
   const std::vector<double>& unit_table() const;
   const std::vector<double>& unit_inflow_table() const;
 
-  /// Identity of the shared construction state — equal for kernels that hit
-  /// the same memo entry. Diagnostics/tests only.
-  const void* state_id() const;
-
-  /// Monotone counters for the construction memo (process-wide).
-  static std::uint64_t cache_hits();
-  static std::uint64_t cache_misses();
-
  private:
   std::size_t periods_;
   LagConvention convention_;
   bool linear_ = false;
   /// Shared immutable snapshot: class lists, unit tables, lazy validity
-  /// bound and evaluation plan. Kernels from bitwise-identical profiles
-  /// point at the same state (bounded process-wide memo).
+  /// bound and evaluation plan. Copies of this kernel point at the same
+  /// state.
   std::shared_ptr<const DeferralKernelState> state_;
 };
 

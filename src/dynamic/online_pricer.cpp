@@ -175,10 +175,9 @@ math::GoldenSectionResult OnlinePricer::solve_period_incremental(
     std::size_t period, double reward_cap, std::size_t max_iterations,
     FlowState& scratch) {
   // Resync instead of reprime when the scratch already holds this kernel's
-  // pair matrix: after a confirmed-forecast update the rescaled demand is
-  // bitwise unchanged, the construction memo returns the same shared kernel
-  // state, and only the coordinates accepted since the last solve need an
-  // O(n) column refresh.
+  // pair matrix: after a confirmed-forecast update observe_period keeps the
+  // model, so the plan is the same and only the coordinates accepted since
+  // the last solve need an O(n) column refresh.
   const KernelPlan* plan = model.kernel().plan().get();
   if (scratch.plan == plan && scratch.plan_serial == plan->serial() &&
       scratch.rewards.size() == rewards.size()) {
@@ -340,10 +339,15 @@ OnlinePricer::StepResult OnlinePricer::observe_period_ex(
                    << " demand from " << measured_arrivals << " to " << target
                    << " to preserve a stable backlog";
     }
-    DemandProfile updated = model_.arrivals();
-    updated.scale_period(period, target / previous);
-    model_ = DynamicModel(std::move(updated), model_.capacity(),
-                          model_.backlog_cost(), model_.warmup_days());
+    // A measurement that confirms the forecast would scale by exactly 1.0,
+    // the identity: keep the model, and with it the kernel plan and the
+    // primed solve_scratch_ that solve_period_incremental resyncs.
+    if (target != previous) {
+      DemandProfile updated = model_.arrivals();
+      updated.scale_period(period, target / previous);
+      model_ = DynamicModel(std::move(updated), model_.capacity(),
+                            model_.backlog_cost(), model_.warmup_days());
+    }
   }
 
   // 1-D re-optimization of this period's reward, all others fixed.

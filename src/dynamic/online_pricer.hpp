@@ -244,8 +244,8 @@ class OnlinePricer {
 
   bool incremental_ = true;
   /// Pair-matrix cache reused across synchronous solves; the resync in
-  /// solve_period_incremental keeps warm starts cheap when the demand
-  /// update was a confirmed-forecast no-op (same memoized kernel state).
+  /// solve_period_incremental keeps warm starts cheap when a confirmed
+  /// forecast left the model (and so its kernel plan) in place.
   FlowState solve_scratch_;
   /// Scratch for the plan-based full-cost evaluations (expected_cost and
   /// the skip / failure / trust-region-probe paths in observe_period_ex).

@@ -24,6 +24,7 @@
 #include "dynamic/online_pricer.hpp"
 #include "math/golden_section.hpp"
 #include "math/piecewise_linear.hpp"
+#include "obs/registry.hpp"
 
 namespace tdp {
 namespace {
@@ -286,22 +287,6 @@ TEST(UniformLagWeightTableTest, MatchesLagWeightBitwise) {
   }
 }
 
-TEST(KernelMemo, IdenticalProfilesShareStateAndCountHits) {
-  const DemandProfile profile = make_test_profile(
-      12, WfFamily::kNonlinearPower, LagNormalization::kDiscrete, 1.5);
-  const std::uint64_t hits_before = DeferralKernel::cache_hits();
-  const DeferralKernel first(profile, LagConvention::kPeriodStart);
-  const DeferralKernel second(profile, LagConvention::kPeriodStart);
-  EXPECT_EQ(first.state_id(), second.state_id());
-  EXPECT_GT(DeferralKernel::cache_hits(), hits_before);
-  // Shared state means shared lazy artifacts: one plan, one validity bound.
-  EXPECT_EQ(first.plan().get(), second.plan().get());
-  EXPECT_EQ(first.max_safe_reward(), second.max_safe_reward());
-  // A different convention over the same mix must NOT share.
-  const DeferralKernel other(profile, LagConvention::kUniformArrival);
-  EXPECT_NE(other.state_id(), first.state_id());
-}
-
 TEST(StaticModelFused, CostAndGradientBitIdenticalToReference) {
   const StaticModel model(
       make_test_profile(12, WfFamily::kNonlinearPower,
@@ -427,6 +412,38 @@ DynamicModel nonlinear_dynamic_model() {
                           LagNormalization::kContinuous, /*gamma=*/0.7),
       paper::kDynamicCapacityUnits,
       math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0));
+}
+
+TEST(DeferralKernelState, CopiesShareOnePlanAndRebuildsAreBitwiseEqual) {
+  for (WfFamily family : {WfFamily::kLinearPower, WfFamily::kNonlinearPower}) {
+    const DemandProfile profile = make_test_profile(
+        12, family, LagNormalization::kDiscrete, 1.5);
+    for (LagConvention convention :
+         {LagConvention::kPeriodStart, LagConvention::kUniformArrival}) {
+      SCOPED_TRACE(family_name(family));
+      SCOPED_TRACE(convention == LagConvention::kPeriodStart ? "start"
+                                                             : "uniform");
+      // A copy shares the lazily built artifacts: one plan, one bound.
+      const DeferralKernel first(profile, convention);
+      const DeferralKernel copy = first;
+      EXPECT_EQ(first.plan().get(), copy.plan().get());
+      EXPECT_EQ(first.max_safe_reward(), copy.max_safe_reward());
+
+      // An independent construction rebuilds them, bit for bit.
+      const DeferralKernel second(profile, convention);
+      EXPECT_EQ(first.linear(), second.linear());
+      EXPECT_EQ(first.unit_table(), second.unit_table());
+      EXPECT_EQ(first.unit_inflow_table(), second.unit_inflow_table());
+      EXPECT_EQ(first.max_safe_reward(), second.max_safe_reward());
+      if (family == WfFamily::kLinearPower) {
+        EXPECT_FALSE(first.unit_table().empty());
+      }
+    }
+  }
+  const DynamicModel model = nonlinear_dynamic_model();
+  const DynamicModel copy = model;
+  EXPECT_EQ(model.kernel().plan().get(), copy.kernel().plan().get());
+  EXPECT_EQ(model.kernel().max_safe_reward(), copy.kernel().max_safe_reward());
 }
 
 TEST(DynamicModelFused, CostAndGradientBitIdenticalToReference) {
@@ -595,6 +612,31 @@ TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(incremental.rewards()[i], reference.rewards()[i]);
   }
+}
+
+TEST(OnlinePricerIncremental, ConfirmedForecastKeepsModelAndPlan) {
+  DynamicOptimizerOptions offline;
+  offline.fista.max_iterations = 400;
+  OnlinePricer pricer(nonlinear_dynamic_model(), offline);
+  ASSERT_TRUE(obs::metrics_enabled())
+      << "plan builds are counted only with TDP_OBS on";
+
+  // Holding the plan keeps its address from being reused by a new one.
+  const std::shared_ptr<const KernelPlan> plan = pricer.model().kernel().plan();
+  obs::CounterDelta builds(
+      obs::Registry::global().counter("kernel.plan_builds_total"));
+
+  const std::size_t period = 5;
+  const double forecast = pricer.model().arrivals().tip_demand(period);
+  pricer.observe_period(period, forecast);
+  EXPECT_EQ(pricer.model().kernel().plan().get(), plan.get());
+  EXPECT_EQ(pricer.model().arrivals().tip_demand(period), forecast);
+  EXPECT_EQ(builds.delta(), 0u);
+
+  const double next = pricer.model().arrivals().tip_demand(period + 1);
+  pricer.observe_period(period + 1, 1.1 * next);
+  EXPECT_NE(pricer.model().kernel().plan().get(), plan.get());
+  EXPECT_EQ(builds.delta(), 1u);
 }
 
 TEST(ProfitFused, BreakdownMatchesReferenceAccessors) {

@@ -8,8 +8,6 @@
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "fleet/fleet_driver.hpp"
 #include "fleet/fleet_metrics.hpp"
 #include "obs/export.hpp"
@@ -406,24 +404,6 @@ TEST(Logging, EmittedLinesAreCountedPerLevel) {
 
   EXPECT_EQ(info.delta(), 2u);
   EXPECT_EQ(debug.delta(), 0u);
-}
-
-TEST(KernelMemo, StaticAccessorsAreViewsOverTheRegistry) {
-  const std::uint64_t hits_before = DeferralKernel::cache_hits();
-  const std::uint64_t misses_before = DeferralKernel::cache_misses();
-  CounterDelta hits(Registry::global().counter("kernel.memo_hits_total"));
-  CounterDelta misses(Registry::global().counter("kernel.memo_misses_total"));
-
-  const DemandProfile profile = paper::make_profile(
-      paper::table8_mix_12(), paper::kStaticNormalizationReward);
-  // cold: miss, then memoized: hit
-  const DeferralKernel first(profile, LagConvention::kPeriodStart);
-  const DeferralKernel second(profile, LagConvention::kPeriodStart);
-
-  EXPECT_EQ(DeferralKernel::cache_hits() - hits_before, hits.delta());
-  EXPECT_EQ(DeferralKernel::cache_misses() - misses_before, misses.delta());
-  EXPECT_GE(hits.delta(), 1u);
-  EXPECT_GE(misses.delta(), 1u);
 }
 
 TEST(FleetObservability, TelemetryNeverPerturbsTheSimulation) {
