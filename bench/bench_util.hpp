@@ -6,11 +6,9 @@
 
 #include <sys/resource.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -19,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/fault.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
@@ -208,29 +207,6 @@ struct CountFlag {
   bool zero_ok = false;
 };
 
-/// A whole decimal number with nothing before or after it: "-5", " 5",
-/// "1e3" and "12abc" are rejected.
-inline bool parse_count(const char* text, std::uint64_t& value) {
-  if (*text < '0' || *text > '9') return false;  // strtoull takes "-5"
-  errno = 0;
-  char* end = nullptr;
-  value = std::strtoull(text, &end, 10);
-  return errno == 0 && *end == '\0';
-}
-
-[[noreturn]] inline void exit_with_usage(
-    const char* argv0, std::initializer_list<CountFlag> flags,
-    bool takes_users) {
-  std::string text = std::string("usage: ") + argv0;
-  if (takes_users) text += " [<users>...]";
-  text += " [--out <file>]";
-  for (const CountFlag& flag : flags) {
-    text += std::string(" [") + flag.name + " N]";
-  }
-  std::fprintf(stderr, "%s\n", text.c_str());
-  std::exit(2);
-}
-
 /// Parses a gated bench's command line: `--out FILE`, the bench's `flags`
 /// and, when `users` is given, bare fleet sizes appended to it. Anything
 /// else (an unknown flag, a missing, malformed or zero value) prints usage
@@ -238,18 +214,23 @@ inline bool parse_count(const char* text, std::uint64_t& value) {
 inline std::string parse_args(int argc, char** argv,
                               std::initializer_list<CountFlag> flags,
                               std::vector<std::uint64_t>* users = nullptr) {
+  std::string synopsis = users != nullptr ? "[<users>...] " : "";
+  synopsis += "[--out <file>]";
+  for (const CountFlag& flag : flags) {
+    synopsis += std::string(" [") + flag.name + " N]";
+  }
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : "";
     std::uint64_t number = 0;
     if (std::strcmp(arg, "--out") == 0) {
-      if (*next == '\0') exit_with_usage(argv[0], flags, users != nullptr);
+      if (*next == '\0') cli::exit_with_usage(argv[0], synopsis);
       out_path = next;
       ++i;
       continue;
     }
-    if (users != nullptr && parse_count(arg, number) && number > 0) {
+    if (users != nullptr && cli::parse_count(arg, number) && number > 0) {
       users->push_back(number);
       continue;
     }
@@ -257,9 +238,9 @@ inline std::string parse_args(int argc, char** argv,
     for (const CountFlag& flag : flags) {
       if (std::strcmp(arg, flag.name) == 0) match = &flag;
     }
-    if (match == nullptr || !parse_count(next, number) ||
+    if (match == nullptr || !cli::parse_count(next, number) ||
         (number == 0 && !match->zero_ok)) {
-      exit_with_usage(argv[0], flags, users != nullptr);
+      cli::exit_with_usage(argv[0], synopsis);
     }
     *match->value = number;
     ++i;

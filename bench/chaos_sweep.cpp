@@ -61,11 +61,7 @@ tdp::fleet::FleetMetrics run_fleet(std::uint64_t users,
 int main(int argc, char** argv) {
   using namespace tdp;
 
-  std::vector<std::uint64_t> sizes;
-  if (!bench::parse_args(argc, argv, {}, &sizes).empty() || sizes.size() > 1) {
-    bench::exit_with_usage(argv[0], {}, /*takes_users=*/true);
-  }
-  const std::uint64_t users = sizes.empty() ? 20000 : sizes.front();
+  const std::uint64_t users = cli::users_arg(argc, argv, 20000, 1, "[users]");
   const std::vector<double> rates = {0.0, 0.01, 0.05, 0.20};
 
   bench::banner("chaos_sweep",

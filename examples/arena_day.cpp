@@ -13,10 +13,10 @@
 //
 //   ./examples/arena_day [users]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "fleet/fleet_driver.hpp"
 #include "fleet/fleet_metrics.hpp"
@@ -25,8 +25,8 @@
 int main(int argc, char** argv) {
   using namespace tdp;
 
-  std::uint64_t users = 100000;
-  if (argc > 1) users = std::strtoull(argv[1], nullptr, 10);
+  const std::uint64_t users =
+      cli::users_arg(argc, argv, 100000, 1, "[users]");
 
   std::printf("arena day: %llu users, one fleet per mechanism\n\n",
               static_cast<unsigned long long>(users));

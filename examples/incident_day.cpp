@@ -9,15 +9,16 @@
 //                           config echo, detector posture, incidents with
 //                           attribution, the recorder ring, and (since this
 //                           binary passes include_wall=true) the wall-clock
-//                           extras. Render it with tools/tdp_triage.py.
+//                           extras. examples/tdp_inspect decodes it to
+//                           JSON and tools/tdp_triage.py renders that.
 //
 // Usage: incident_day [users] [output_dir]  (defaults: 20000 users, cwd).
 // CI runs it small, schema-checks the journal with tools/validate_trace.py
-// and renders the dump with tools/tdp_triage.py.
+// and renders the dump with tdp_inspect | tools/tdp_triage.py -.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/fault.hpp"
 #include "dynamic/online_pricer.hpp"
 #include "horizon/multi_day_driver.hpp"
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   namespace inc = tdp::obs::incident;
 
   const std::uint64_t users =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000ull;
+      cli::users_arg(argc, argv, 20000, 2, "[users] [output_dir]");
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
   // Journal on so the incident.* events land in the JSONL artifact; the
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   obs::Journal::global().appended()));
   std::printf("  %s\n", dump_path.c_str());
-  std::printf("render with: tools/tdp_triage.py %s --journal-jsonl %s\n",
+  std::printf("render with: tdp_inspect %s | tools/tdp_triage.py - "
+              "--journal-jsonl %s\n",
               dump_path.c_str(), journal_path.c_str());
   return 0;
 }

@@ -18,9 +18,9 @@
 // CI runs it small (see .github/workflows/ci.yml) and schema-checks the
 // artifacts with tools/validate_trace.py.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/fault.hpp"
 #include "dynamic/online_pricer.hpp"
 #include "fleet/fleet_driver.hpp"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   using namespace tdp::fleet;
 
   const std::uint64_t users =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100000ull;
+      cli::users_arg(argc, argv, 100000, 2, "[users] [output_dir]");
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
   // Every surface on, regardless of environment: this binary exists to

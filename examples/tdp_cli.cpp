@@ -26,6 +26,7 @@
 #include <set>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "core/static_model.hpp"
@@ -35,14 +36,9 @@
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <demand.csv> <capacity> <cost-slope> [--dynamic] "
-               "[--out <file>]\n"
-               "  demand.csv columns: period,beta,volume (period 1..n, no gaps)\n",
-               argv0);
-  return 2;
-}
+constexpr const char* kSynopsis =
+    "<demand.csv> <capacity> <cost-slope> [--dynamic] [--out <file>]\n"
+    "  demand.csv columns: period,beta,volume (period 1..n, no gaps)";
 
 /// A whole command-line number: strtod must consume all of `text` and the
 /// value must be finite.
@@ -77,7 +73,7 @@ std::size_t period_count(const tdp::CsvTable& csv, std::size_t column) {
 
 int main(int argc, char** argv) {
   using namespace tdp;
-  if (argc < 4) return usage(argv[0]);
+  if (argc < 4) cli::exit_with_usage(argv[0], kSynopsis);
 
   const std::string demand_path = argv[1];
   double capacity = 0.0;
@@ -100,7 +96,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
       out_path = argv[++a];
     } else {
-      return usage(argv[0]);
+      cli::exit_with_usage(argv[0], kSynopsis);
     }
   }
 

@@ -3,27 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json.hpp"
+
 namespace tdp::obs {
 namespace {
-
-void append_number(std::string& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
-}
-
-void append_number(std::string& out, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llu",
-                static_cast<unsigned long long>(value));
-  out += buffer;
-}
-
-void append_number(std::string& out, std::int64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%lld", static_cast<long long>(value));
-  out += buffer;
-}
 
 template <typename Row>
 std::vector<const Row*> sorted_rows(const std::vector<Row>& rows) {
@@ -51,27 +34,22 @@ std::string prometheus_name(const std::string& name) {
 
 std::string metrics_json(const Snapshot& snapshot) {
   std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto* row : sorted_rows(snapshot.counters)) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += row->name;
-    out += "\":";
-    append_number(out, row->value);
-  }
+  const auto append_values = [&out](const auto& rows) {
+    bool first = true;
+    for (const auto* row : sorted_rows(rows)) {
+      if (!first) out += ',';
+      first = false;
+      out += '"';
+      out += row->name;
+      out += "\":";
+      append_number(out, row->value);
+    }
+  };
+  append_values(snapshot.counters);
   out += "},\"gauges\":{";
-  first = true;
-  for (const auto* row : sorted_rows(snapshot.gauges)) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += row->name;
-    out += "\":";
-    append_number(out, row->value);
-  }
+  append_values(snapshot.gauges);
   out += "},\"histograms\":{";
-  first = true;
+  bool first = true;
   for (const auto* row : sorted_rows(snapshot.histograms)) {
     if (!first) out += ',';
     first = false;
@@ -108,23 +86,20 @@ std::string metrics_json() { return metrics_json(Registry::global().snapshot());
 
 std::string prometheus_text(const Snapshot& snapshot) {
   std::string out;
-  for (const auto* row : sorted_rows(snapshot.counters)) {
-    const std::string name = prometheus_name(row->name);
-    // HELP text is the registry's dotted taxonomy name: deterministic (the
-    // exposition bytes are fixture-tested) and it round-trips the original
-    // name through the [a-zA-Z0-9_:] sanitization.
-    out += "# HELP " + name + " TDP counter " + row->name + '\n';
-    out += "# TYPE " + name + " counter\n" + name + ' ';
-    append_number(out, row->value);
-    out += '\n';
-  }
-  for (const auto* row : sorted_rows(snapshot.gauges)) {
-    const std::string name = prometheus_name(row->name);
-    out += "# HELP " + name + " TDP gauge " + row->name + '\n';
-    out += "# TYPE " + name + " gauge\n" + name + ' ';
-    append_number(out, row->value);
-    out += '\n';
-  }
+  const auto append_values = [&out](const auto& rows, const char* type) {
+    for (const auto* row : sorted_rows(rows)) {
+      const std::string name = prometheus_name(row->name);
+      // HELP text is the registry's dotted taxonomy name: deterministic
+      // (the exposition bytes are fixture-tested) and it round-trips the
+      // original name through the [a-zA-Z0-9_:] sanitization.
+      out += "# HELP " + name + " TDP " + type + ' ' + row->name + '\n';
+      out += "# TYPE " + name + ' ' + type + '\n' + name + ' ';
+      append_number(out, row->value);
+      out += '\n';
+    }
+  };
+  append_values(snapshot.counters, "counter");
+  append_values(snapshot.gauges, "gauge");
   for (const auto* row : sorted_rows(snapshot.histograms)) {
     const std::string name = prometheus_name(row->name);
     out += "# HELP " + name + " TDP histogram " + row->name + '\n';

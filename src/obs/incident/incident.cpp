@@ -67,6 +67,22 @@ const char* to_string(Objective objective) {
   return "?";
 }
 
+const char* to_string(ReanchorState state) {
+  switch (state) {
+    case ReanchorState::kNone:
+      return "none";
+    case ReanchorState::kAdopted:
+      return "adopted";
+    case ReanchorState::kDeferred:
+      return "deferred";
+    case ReanchorState::kRolledBack:
+      return "rolled_back";
+    case ReanchorState::kFrozen:
+      return "frozen";
+  }
+  return "?";
+}
+
 const char* to_string(RecorderKind kind) {
   switch (kind) {
     case RecorderKind::kDisturbance:

@@ -154,7 +154,6 @@ enum class Objective : std::uint8_t {
   kP2aRegression = 2,
   kPacing = 3,
 };
-inline constexpr std::size_t kObjectiveCount = 4;
 
 const char* to_string(Severity severity);
 const char* to_string(Objective objective);
@@ -167,6 +166,8 @@ enum class ReanchorState : std::int8_t {
   kRolledBack = 2,
   kFrozen = 3,
 };
+
+const char* to_string(ReanchorState state);
 
 struct Incident {
   std::uint64_t id = 0;
@@ -396,7 +397,7 @@ class IncidentEngine {
   std::vector<double> wall_commit_latencies_;
 };
 
-/// Parsed dump (tests and tooling).
+/// Parsed dump (tests and examples/tdp_inspect).
 struct DumpData {
   std::uint64_t day = 0;
   std::uint32_t period = 0;
@@ -416,5 +417,13 @@ inline constexpr std::uint32_t kDumpVersion = 1;
 std::vector<std::uint8_t> encode_dump(const DumpData& data);
 DumpData decode_dump(const std::uint8_t* data, std::size_t size);
 DumpData decode_dump(const std::vector<std::uint8_t>& bytes);
+
+/// A decoded dump as indented JSON: top-level day/period/has_wall, the
+/// "config" echo, the "state" (enums by name, storm flags as booleans,
+/// the recorder ring as stored plus its "recorder_pos") and, when
+/// has_wall, "wall" with [name, value] counter pairs. A recorder entry
+/// whose a/b operand holds an enum code also carries "a_name"/"b_name".
+/// Non-finite doubles are written as NaN/Infinity/-Infinity.
+std::string dump_json(const DumpData& data);
 
 }  // namespace tdp::obs::incident

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/export.hpp"
+#include "obs/json.hpp"
+
 namespace tdp::obs {
 namespace {
 
@@ -13,33 +16,6 @@ std::atomic<bool>& journal_flag() {
     return !(env != nullptr && env[0] == '0' && env[1] == '\0');
   }()};
   return flag;
-}
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void append_event_json(std::string& out, const JournalEvent& event) {
@@ -62,19 +38,9 @@ void append_event_json(std::string& out, const JournalEvent& event) {
     out += '"';
     append_json_escaped(out, event.fields[f].first);
     out += "\":";
-    std::snprintf(buf, sizeof buf, "%.17g", event.fields[f].second);
-    out += buf;
+    append_number(out, event.fields[f].second);
   }
   out += "}}";
-}
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  const bool complete = written == text.size();
-  const bool closed = std::fclose(file) == 0;
-  return complete && closed;
 }
 
 }  // namespace
@@ -142,7 +108,7 @@ std::string Journal::json() const {
 }
 
 bool Journal::write_json(const std::string& path) const {
-  return write_text(path, json());
+  return write_text_file(path, json());
 }
 
 std::string Journal::jsonl() const {
@@ -156,7 +122,7 @@ std::string Journal::jsonl() const {
 }
 
 bool Journal::write_jsonl(const std::string& path) const {
-  return write_text(path, jsonl());
+  return write_text_file(path, jsonl());
 }
 
 void journal_record(

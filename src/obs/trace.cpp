@@ -7,6 +7,9 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/export.hpp"
+#include "obs/json.hpp"
+
 namespace tdp::obs {
 namespace {
 
@@ -72,33 +75,6 @@ void record(std::string_view name, char phase) {
   const std::lock_guard<std::mutex> lock(buffer.mutex);
   buffer.events.push_back(
       TraceEvent{std::string(name), phase, ts, buffer.tid});
-}
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -172,13 +148,7 @@ std::string chrome_trace_json() {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string json = chrome_trace_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  const bool ok = written == json.size() && std::fclose(file) == 0;
-  if (!ok && written != json.size()) std::fclose(file);
-  return ok;
+  return write_text_file(path, chrome_trace_json());
 }
 
 }  // namespace tdp::obs

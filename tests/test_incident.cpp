@@ -15,10 +15,15 @@
 //   * Checkpoints: kSecIncident round-trips the complete engine state;
 //     restore rejects a config whose detector thresholds disagree with
 //     the checkpointed echo.
-//   * Dumps: TDPI framing round-trips; corrupted or truncated bytes raise
-//     ser::FormatError instead of parsing garbage.
+//   * Dumps: TDPI framing round-trips; corrupted or truncated bytes, and
+//     well-framed bytes of an out-of-range state, raise ser::FormatError
+//     instead of parsing garbage; dump_json names enum codes and writes
+//     non-finite values as Python's json reads them.
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -352,6 +357,55 @@ TEST(IncidentDump, CorruptionAndTruncationRaiseFormatError) {
   std::vector<std::uint8_t> bad_magic = bytes;
   bad_magic[0] = 'X';
   EXPECT_THROW(decode_dump(bad_magic), ser::FormatError);
+
+  // Well-framed dumps of a bad state: each range or finite check fires.
+  const DumpData good = decode_dump(bytes);
+  ASSERT_FALSE(good.state.slo_window.empty());
+  DumpData bad_recorder_pos = good;
+  bad_recorder_pos.state.recorder_pos =
+      static_cast<std::uint32_t>(good.state.recorder.size()) + 1;
+  EXPECT_THROW(decode_dump(encode_dump(bad_recorder_pos)), ser::FormatError);
+  DumpData bad_slo_pos = good;
+  bad_slo_pos.state.slo_pos =
+      static_cast<std::uint32_t>(good.state.slo_window.size());
+  EXPECT_THROW(decode_dump(encode_dump(bad_slo_pos)), ser::FormatError);
+  DumpData bad_p2a = good;
+  bad_p2a.state.p2a_window.push_back(std::nan(""));
+  EXPECT_THROW(decode_dump(encode_dump(bad_p2a)), ser::FormatError);
+}
+
+TEST(IncidentDump, JsonNamesEnumsAndWritesNonFiniteAsPythonReads) {
+  DumpData data = decode_dump(populated_engine().dump(false));
+  data.has_wall = true;
+  data.wall_counters = {{"fleet.phase.simulate_ns", 7}};
+  data.wall_commit_latencies = {std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::nan(""), 0.1};
+  data.state.recorder = {{1, RecorderKind::kHealthEdge, 0.0, 2.0},
+                         {2, RecorderKind::kAlert, 4.0, 1.5},
+                         {3, RecorderKind::kIncidentOpen, 7.0, 1.0},
+                         {4, RecorderKind::kReanchor, -1.0, 3.0},
+                         {5, RecorderKind::kHealthEdge, 3.0, -0.5}};
+  data.state.recorder_pos = 0;
+  data.state.p2a_window = {-0.0, 1.0};
+  const std::string json = dump_json(data);
+
+  for (const char* expected :
+       {"\"a_name\": \"HEALTHY\"", "\"b_name\": \"FALLBACK\"",
+        "\"a_name\": \"p2a_zscore\"", "\"b_name\": \"fallback_budget\"",
+        "\"a_name\": \"none\"", "\"a_name\": \"?\"",
+        "\"storm_blackout\": true", "\"last_reanchor\": \"adopted\"",
+        "\"p2a_window\": [\n      -0.0,\n      1\n    ]",
+        "\"commit_latencies\": [\n      Infinity,\n      -Infinity,\n"
+        "      NaN,\n      0.10000000000000001\n    ]",
+        "\"counters\": [\n      [\n        \"fleet.phase.simulate_ns\",\n"
+        "        7\n      ]\n    ]"}) {
+    EXPECT_NE(json.find(expected), std::string::npos) << expected;
+  }
+  // The last entry's b (-0.5) truncates to HEALTHY, as int() would.
+  EXPECT_NE(json.find("\"b_name\": \"HEALTHY\"\n      }\n    ]"),
+            std::string::npos);
+  EXPECT_EQ(json.back(), '\n');
 }
 
 // ---------------------------------------------------------------------------
