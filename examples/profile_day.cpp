@@ -6,8 +6,11 @@
 // The phases are instrumented inside FleetDriver::run_day (FleetMetrics
 // *_seconds fields), so the same numbers are available from any fleet run's
 // JSON — this example just renders them.
+//
+//   ./examples/profile_day [users]
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "fleet/fleet_driver.hpp"
 
 namespace {
@@ -21,11 +24,12 @@ void print_phase(const char* name, double seconds, double total) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace tdp::fleet;
 
   FleetDriverConfig config;
-  config.population.users = 100000;
+  config.population.users =
+      tdp::cli::users_arg(argc, argv, 100000, 1, "[users]");
   config.population.periods = 48;
   config.shards = 64;
   config.threads = 0;

@@ -1,5 +1,6 @@
 #include "core/kernel_plan.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <unordered_map>
@@ -26,6 +27,14 @@ double gauss_abscissa(std::size_t lag, std::size_t k, double& half_out) {
   const double mid = lo + 0.5 * h;
   half_out = 0.5 * h;
   return mid + half_out * math::kGauss8Nodes[k];
+}
+
+/// out[from] += col[from] * reward for every row: one `to` column of the
+/// linear outflow sums. Lanes are independent rows over non-aliasing
+/// arrays, so the loop vectorizes with each row's bits unchanged.
+void add_unit_column(double* __restrict out, const double* __restrict col,
+                     double reward, std::size_t n) {
+  for (std::size_t from = 0; from < n; ++from) out[from] += col[from] * reward;
 }
 
 }  // namespace
@@ -86,9 +95,16 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
 
   if (linear_) {
     // Linear kernels evaluate through the unit-reward tables; no per-lag
-    // power tables are needed.
+    // power tables are needed. unit_ doubles as the dV rows
+    // (derivative_rows); its transpose feeds the column-wise outflow sums.
     unit_ = kernel.unit_table();
     unit_inflow_ = kernel.unit_inflow_table();
+    unit_t_.assign(n * n, 0.0);
+    for (std::size_t from = 0; from < n; ++from) {
+      for (std::size_t to = 0; to < n; ++to) {
+        unit_t_[to * n + from] = unit_[from * n + to];
+      }
+    }
     return;
   }
 
@@ -126,18 +142,6 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
 void KernelPlan::fill_column(std::size_t to, double reward,
                              bool with_derivatives, FlowState& s) const {
   const std::size_t n = periods_;
-  double* V = s.pair.data();
-  double* dV = s.pair_derivative.data();
-
-  if (linear_) {
-    for (std::size_t from = 0; from < n; ++from) {
-      if (from == to) continue;
-      const double unit = unit_[from * n + to];
-      V[from * n + to] = reward <= 0.0 ? 0.0 : unit * reward;
-      if (with_derivatives) dV[from * n + to] = unit;
-    }
-    return;
-  }
 
   // Reward factors shared by every slot in this column: one pow per
   // distinct power-law function instead of one per (class, pair).
@@ -302,6 +306,22 @@ void KernelPlan::reduce_outflow4(std::size_t from0, FlowState& s) const {
   s.outflow[from0 + 3] = a3;
 }
 
+void KernelPlan::linear_outflow(FlowState& s) const {
+  const std::size_t n = periods_;
+  double* out = s.outflow.data();
+  std::fill(out, out + n, 0.0);
+  // DeferralKernel::outflow's linear sum for every row at once: ascending
+  // `to`, columns with p <= 0 skipped, each row's own column left out by
+  // restoring that row's partial sum after the column update.
+  for (std::size_t to = 0; to < n; ++to) {
+    const double reward = s.rewards[to];
+    if (!(reward > 0.0)) continue;
+    const double diagonal = out[to];
+    add_unit_column(out, &unit_t_[to * n], reward, n);
+    out[to] = diagonal;
+  }
+}
+
 void KernelPlan::reduce_outflow_rows(std::size_t begin, std::size_t end,
                                      FlowState& s) const {
   std::size_t from = begin;
@@ -317,13 +337,20 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
   s.plan_serial = serial_;
   s.has_derivatives = with_derivatives;
   s.rewards = rewards;
-  s.pair.assign(n * n, 0.0);
   s.inflow.assign(n, 0.0);
   s.outflow.assign(n, 0.0);
-  if (with_derivatives) {
-    s.pair_derivative.assign(n * n, 0.0);
-    s.inflow_derivative.assign(n, 0.0);
+  if (with_derivatives) s.inflow_derivative.assign(n, 0.0);
+  if (linear_) {
+    // No pair matrices: inflow is a table lookup, outflow a column sweep
+    // over the unit table, and dV is unit_ itself (derivative_rows).
+    s.pair.clear();
+    s.pair_derivative.clear();
+    for (std::size_t i = 0; i < n; ++i) reduce_inflow(i, with_derivatives, s);
+    linear_outflow(s);
+    return;
   }
+  s.pair.assign(n * n, 0.0);
+  if (with_derivatives) s.pair_derivative.assign(n * n, 0.0);
   s.wf_factor.resize(functions_.size());
   s.wf_factor_derivative.resize(functions_.size());
   for (std::size_t to = 0; to < n; ++to) {
@@ -332,9 +359,8 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
   std::size_t i = 0;
 #if defined(TDP_HAVE_AVX2)
   // Four column sums at a time over the freshly filled pair matrix; each
-  // lane keeps the scalar reduction order. The linear path's inflow is a
-  // table lookup, not a matrix reduction — leave it scalar.
-  if (!linear_ && simd::mode() == simd::Mode::kAvx2) {
+  // lane keeps the scalar reduction order.
+  if (simd::mode() == simd::Mode::kAvx2) {
     for (; i + 4 <= n; i += 4) reduce_inflow4_avx2(i, with_derivatives, s);
   }
 #endif
@@ -355,6 +381,13 @@ void KernelPlan::update_coordinate(std::size_t m, double reward,
   // a full evaluate) holds for the whole state.
   const bool wd = s.has_derivatives;
   s.rewards[m] = reward;
+  if (linear_) {
+    // Without a cached matrix every row's sum is re-swept; the sweep is
+    // the same O(n^2) adds the re-reduction of cached rows would be.
+    reduce_inflow(m, wd, s);
+    linear_outflow(s);
+    return;
+  }
   fill_column(m, reward, wd, s);
   reduce_inflow(m, wd, s);
   // inflow for i != m depends only on column i — unchanged. outflow(from)

@@ -28,6 +28,12 @@
 // waiting-function evaluations) and re-derives the flow sums from cached
 // values in the reference summation order, so the refreshed FlowState is
 // bit-identical to a from-scratch evaluate() at the new reward vector.
+//
+// Linear plans (every waiting function linear in the reward, the form
+// every production DynamicModel takes) keep no pair matrix at all: inflow
+// is unit_inflow * p, the outflow sums are one column sweep over the
+// transposed unit table, and the dV rows the gradients read are the unit
+// table itself (derivative_rows).
 #pragma once
 
 #include <cstddef>
@@ -45,10 +51,14 @@ class KernelPlan;
 /// sums derived from it. Owned by the caller (models keep one per solver
 /// loop) so repeated evaluations are allocation-free. Fill with
 /// KernelPlan::evaluate, refresh single columns with update_coordinate.
+///
+/// `pair` and `pair_derivative` stay empty for a linear plan: its flow
+/// sums come straight from the unit-reward table, and its dV rows are
+/// that table (read them through KernelPlan::derivative_rows).
 struct FlowState {
   std::vector<double> rewards;           ///< reward column per period
-  std::vector<double> pair;              ///< V[from * n + to]
-  std::vector<double> pair_derivative;   ///< dV/dp_to[from * n + to]
+  std::vector<double> pair;              ///< V[from * n + to]; nonlinear only
+  std::vector<double> pair_derivative;   ///< dV/dp_to[from * n + to]; ditto
   std::vector<double> inflow;            ///< sum_from V[from][i]
   std::vector<double> inflow_derivative; ///< sum_from dV[from][i]
   std::vector<double> outflow;           ///< sum_to V[i][to]
@@ -63,10 +73,12 @@ struct FlowState {
   std::vector<double> wf_factor;
   std::vector<double> wf_factor_derivative;
 
-  /// Model-level assembly scratch (usage / arrivals / sensitivity rows),
-  /// so fused cost evaluations stay allocation-free.
+  /// Model-level assembly scratch (usage / arrivals / sensitivity rows /
+  /// per-step hinge slopes), so fused cost evaluations stay
+  /// allocation-free.
   std::vector<double> aux_a;
   std::vector<double> aux_b;
+  std::vector<double> aux_c;
 };
 
 class KernelPlan {
@@ -89,7 +101,8 @@ class KernelPlan {
 
   /// Fill `state` for the full reward vector: the pair matrix, inflow and
   /// outflow sums, and (optionally) the derivative matrix and inflow
-  /// derivative sums. Resizes the scratch on first use.
+  /// derivative sums; a linear plan fills only the sums. Resizes the
+  /// scratch on first use.
   void evaluate(const std::vector<double>& rewards, bool with_derivatives,
                 FlowState& state) const;
 
@@ -101,6 +114,14 @@ class KernelPlan {
   /// identical to evaluate() at the updated reward vector.
   void update_coordinate(std::size_t m, double reward, bool with_derivatives,
                          FlowState& state) const;
+
+  /// dV/dp_to rows, [from * n + to], of a state evaluated with derivatives
+  /// on this plan: the unit-reward table for a linear plan (dV does not
+  /// depend on the rewards), `state.pair_derivative` otherwise. The
+  /// diagonal slots are 0.
+  const double* derivative_rows(const FlowState& state) const {
+    return linear_ ? unit_.data() : state.pair_derivative.data();
+  }
 
  private:
   enum class WfKind : std::uint8_t {
@@ -127,6 +148,9 @@ class KernelPlan {
   void reduce_inflow(std::size_t into, bool with_derivatives,
                      FlowState& state) const;
   void reduce_outflow(std::size_t from, FlowState& state) const;
+  /// Linear plans: every outflow sum from unit_t_ and the rewards, in
+  /// DeferralKernel::outflow's operand order.
+  void linear_outflow(FlowState& state) const;
   /// Outflow sums of rows from0..from0+3 interleaved: each row keeps its
   /// own accumulator and reduce_outflow's ascending-`to` order (skipping
   /// its diagonal), so the sums are bitwise reduce_outflow's while four
@@ -166,7 +190,8 @@ class KernelPlan {
   std::vector<double> lag_half_;
 
   /// Linear fast path: unit-reward tables copied from the kernel.
-  std::vector<double> unit_;
+  std::vector<double> unit_;        ///< [from * n + to]
+  std::vector<double> unit_t_;      ///< unit_ transposed, [to * n + from]
   std::vector<double> unit_inflow_;
 };
 

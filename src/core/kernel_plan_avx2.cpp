@@ -9,9 +9,9 @@
 // evaluations are therefore bitwise identical; tests/test_simd.cpp flips
 // the mode at runtime and EXPECT_EQs every double.
 //
-// The pair-matrix fill stays scalar: linear kernels fill unit * reward
-// with no pow to vectorise, and the one nonlinear mix in use has ragged
-// per-period class lists that a four-row lockstep fill cannot take.
+// The pair-matrix fill stays scalar: linear kernels keep no pair matrix,
+// and the one nonlinear mix in use has ragged per-period class lists that
+// a four-row lockstep fill cannot take.
 #include "core/kernel_plan.hpp"
 
 #if defined(TDP_HAVE_AVX2)

@@ -216,7 +216,7 @@ double StaticModel::smoothed_cost_and_gradient(const math::Vector& rewards,
   for (std::size_t i = 0; i < n; ++i) {
     fprime[i] = cost_.smoothed_derivative(x[i] - capacity_[i], mu);
   }
-  const double* dV = state.pair_derivative.data();
+  const double* dV = kernel_.plan()->derivative_rows(state);
   for (std::size_t m = 0; m < n; ++m) {
     const double din = state.inflow[m];
     const double din_deriv = state.inflow_derivative[m];

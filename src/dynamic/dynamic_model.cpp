@@ -1,7 +1,9 @@
 #include "dynamic/dynamic_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -28,6 +30,29 @@ double smooth_hinge_derivative(double y, double mu) {
 void sensitivity_row(double* __restrict db, const double* __restrict row,
                      double sigma, std::size_t n) {
   for (std::size_t m = 0; m < n; ++m) db[m] = sigma * (db[m] + -row[m]);
+}
+
+/// Runs the warm-up days of a day-cyclic backlog recursion,
+/// backlog = step(backlog, day, i), from an empty queue and returns how
+/// many days it ran; `backlog` is left at the last day's start. A day
+/// that ends in the backlog it started with (same bits, so the same sign
+/// of zero) repeats exactly on every later day, so the remaining warm-up
+/// days are skipped: the last day starts from the same bits either way.
+template <typename Step>
+std::size_t warm_up(std::size_t warmup_days, std::size_t n, double& backlog,
+                    Step step) {
+  backlog = 0.0;
+  std::size_t days = 0;
+  while (days + 1 < warmup_days) {
+    const double start = backlog;
+    for (std::size_t i = 0; i < n; ++i) backlog = step(backlog, days, i);
+    ++days;
+    if (std::bit_cast<std::uint64_t>(backlog) ==
+        std::bit_cast<std::uint64_t>(start)) {
+      break;
+    }
+  }
+  return days;
 }
 
 }  // namespace
@@ -219,15 +244,16 @@ double DynamicModel::assemble_total_cost(FlowState& state) const {
     arr[i] = tip_[i] - state.outflow[i] + state.inflow[i];
   }
 
+  const auto step = [&](double b, std::size_t, std::size_t i) {
+    const double load = b + arr[i];
+    const double served = std::min(load, capacity_[i]);
+    return load - served;
+  };
   double backlog = 0.0;
-  for (std::size_t day = 0; day < warmup_days_; ++day) {
-    const bool last = (day + 1 == warmup_days_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double load = backlog + arr[i];
-      const double served = std::min(load, capacity_[i]);
-      backlog = load - served;
-      if (last) end_backlog[i] = backlog;
-    }
+  warm_up(warmup_days_, n, backlog, step);
+  for (std::size_t i = 0; i < n; ++i) {
+    backlog = step(backlog, 0, i);
+    end_backlog[i] = backlog;
   }
 
   double reward_total = 0.0;
@@ -265,14 +291,15 @@ double DynamicModel::smoothed_cost(const math::Vector& rewards, double mu,
     arr[i] = tip_[i] - state.outflow[i] + state.inflow[i];
   }
 
-  double cost = 0.0;
+  const auto step = [&](double b, std::size_t, std::size_t i) {
+    return smooth_hinge(b + arr[i] - capacity_[i], mu);
+  };
   double backlog = 0.0;
-  for (std::size_t day = 0; day < warmup_days_; ++day) {
-    const bool last = (day + 1 == warmup_days_);
-    for (std::size_t i = 0; i < n; ++i) {
-      backlog = smooth_hinge(backlog + arr[i] - capacity_[i], mu);
-      if (last) cost += cost_.smoothed_value(backlog, mu);
-    }
+  warm_up(warmup_days_, n, backlog, step);
+  double cost = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    backlog = step(backlog, 0, i);
+    cost += cost_.smoothed_value(backlog, mu);
   }
   for (std::size_t i = 0; i < n; ++i) {
     cost += rewards[i] * state.inflow[i];
@@ -290,38 +317,81 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
 
   math::Vector& arr = state.aux_a;
   math::Vector& dbacklog = state.aux_b;
+  math::Vector& slopes = state.aux_c;
+  const std::size_t days = warmup_days_;
   arr.resize(n);
   dbacklog.assign(n, 0.0);
+  slopes.resize((days + 1) * n);
   for (std::size_t i = 0; i < n; ++i) {
     arr[i] = tip_[i] - state.outflow[i] + state.inflow[i];
   }
 
-  // One warmup sweep computes the smoothed cost and the forward-accumulated
-  // backlog sensitivities together; the arrival Jacobian rows are read
-  // straight off the cached derivative matrix
+  // Scalar pass: the backlog recursion, recording each step's hinge slope
+  // sigma. Row d of `slopes` is warm-up day d for d < run; the warm-up
+  // days the periodic jump skips repeat row run - 1. Row run is the last
+  // day, and the row after it holds the last day's f'(backlog).
+  const auto step = [&](double b, std::size_t day, std::size_t i) {
+    const double pre = b + arr[i] - capacity_[i];
+    slopes[day * n + i] = smooth_hinge_derivative(pre, mu);
+    return smooth_hinge(pre, mu);
+  };
+  double backlog = 0.0;
+  const std::size_t run = warm_up(days, n, backlog, step);
+  const double* last_sigma = &slopes[run * n];
+  double* fprime = &slopes[(run + 1) * n];
+  double cost = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    backlog = step(backlog, run, i);
+    cost += cost_.smoothed_value(backlog, mu);
+    fprime[i] = cost_.smoothed_derivative(backlog, mu);
+  }
+  const auto sigma_row = [&](std::size_t day) {
+    return day + 1 == days ? last_sigma
+                           : &slopes[std::min(day, run - 1) * n];
+  };
+
+  // Forward sensitivity sweep. A sigma = 0 step multiplies every db lane
+  // by 0 and leaves +-0 whatever came before, so the sweep starts from
+  // db = +0 right after the last such step before the last day, and any
+  // later sigma = 0 step just clears db. Only the sign of a zero lane can
+  // differ from the full sweep, and that never reaches grad: grad starts
+  // at +0.0 and only adds, and x + -0 == x, +0 + -0 == +0, so the f' term
+  // of a step that leaves db zero is skipped too. Every warm-up day after
+  // day 0 has such a step when daily demand is below capacity, so at most
+  // 2n rows are swept, and only the congested ones do any work.
+  std::size_t begin = 0;  // first swept step, as day * n + i
+  for (std::size_t k = (days - 1) * n; k > 0; --k) {
+    if (sigma_row((k - 1) / n)[(k - 1) % n] == 0.0) {
+      begin = k;
+      break;
+    }
+  }
+
+  // The arrival Jacobian rows are read straight off the plan's dV rows
   // (darr[i][m] = inflow'(i) if m == i else -dV[i][m]). The diagonal is
   // computed from the old dbacklog[i] before the branch-free row update
   // and stored over that lane afterwards, so every element sees the
   // reference's operations in the reference order.
-  const double* dV = state.pair_derivative.data();
+  const double* dV = kernel_.plan()->derivative_rows(state);
   double* db = dbacklog.data();
+  bool db_zero = true;  // every db lane is +-0
   std::fill(grad.begin(), grad.end(), 0.0);
-  double cost = 0.0;
-  double backlog = 0.0;
-  for (std::size_t day = 0; day < warmup_days_; ++day) {
-    const bool last = (day + 1 == warmup_days_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double pre = backlog + arr[i] - capacity_[i];
-      const double sigma = smooth_hinge_derivative(pre, mu);
-      backlog = smooth_hinge(pre, mu);
-      const double diagonal = sigma * (db[i] + state.inflow_derivative[i]);
-      sensitivity_row(db, dV + i * n, sigma, n);
+  for (std::size_t day = begin / n; day < days; ++day) {
+    const bool last = (day + 1 == days);
+    const double* sigma = sigma_row(day);
+    for (std::size_t i = day == begin / n ? begin % n : 0; i < n; ++i) {
+      if (sigma[i] == 0.0) {
+        if (!db_zero) std::fill(db, db + n, 0.0);
+        db_zero = true;
+        continue;
+      }
+      db_zero = false;
+      const double diagonal = sigma[i] * (db[i] + state.inflow_derivative[i]);
+      sensitivity_row(db, dV + i * n, sigma[i], n);
       db[i] = diagonal;
       if (last) {
-        cost += cost_.smoothed_value(backlog, mu);
-        const double fprime = cost_.smoothed_derivative(backlog, mu);
         for (std::size_t m = 0; m < n; ++m) {
-          grad[m] += fprime * db[m];
+          grad[m] += fprime[i] * db[m];
         }
       }
     }

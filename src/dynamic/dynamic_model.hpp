@@ -88,6 +88,10 @@ class DynamicModel {
   // Bitwise identical to the reference methods of the same name; the
   // online pricer's per-period golden-section solve runs on
   // total_cost_with_coordinate so each candidate costs O(n) kernel work.
+  // The recursions stop warming up once a day ends in the backlog it
+  // started with (every later day repeats it), and the gradient's
+  // sensitivity sweep starts after the last sigma = 0 step before the
+  // last day (DESIGN.md §10).
 
   /// Fill `state` with the deferral flows at `rewards`.
   void prime_flow_state(const math::Vector& rewards, bool with_derivatives,

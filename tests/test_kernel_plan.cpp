@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -127,14 +130,25 @@ ReferenceFlows reference_flows(const DeferralKernel& kernel,
   return ref;
 }
 
-void expect_state_matches(const ReferenceFlows& ref, const FlowState& state,
-                          std::size_t n, const char* context) {
+void expect_state_matches(const ReferenceFlows& ref, const KernelPlan& plan,
+                          const FlowState& state, std::size_t n,
+                          const char* context) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(ref.inflow[i], state.inflow[i]) << context << " inflow " << i;
     EXPECT_EQ(ref.inflow_derivative[i], state.inflow_derivative[i])
         << context << " dinflow " << i;
     EXPECT_EQ(ref.outflow[i], state.outflow[i]) << context << " outflow "
                                                 << i;
+    if (plan.linear()) {
+      // A linear plan keeps no pair matrices; its dV rows are the unit
+      // table behind derivative_rows.
+      const double* dV = plan.derivative_rows(state);
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(ref.pair_derivative[i * n + j], dV[i * n + j])
+            << context << " dpair " << i << "," << j;
+      }
+      continue;
+    }
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(ref.pair[i * n + j], state.pair[i * n + j])
           << context << " pair " << i << "," << j;
@@ -173,7 +187,7 @@ TEST(KernelPlan, BitwiseIdentityAcrossConventionsFamiliesAndSizes) {
           plan->evaluate(rewards, /*with_derivatives=*/true, state);
           const ReferenceFlows ref = reference_flows(kernel, rewards);
           expect_state_matches(
-              ref, state, n,
+              ref, *plan, state, n,
               (std::string(family_name(family)) + " n=" +
                std::to_string(n))
                   .c_str());
@@ -213,6 +227,21 @@ TEST(KernelPlan, IncrementalCoordinateUpdateIsBitIdenticalToFullEvaluate) {
           EXPECT_EQ(full.inflow_derivative[i],
                     incremental.inflow_derivative[i]);
           EXPECT_EQ(full.outflow[i], incremental.outflow[i]);
+        }
+        if (plan->linear()) {
+          // No pair matrices to compare; the dV rows must still be the
+          // reference derivatives.
+          for (const FlowState* state : {&full, &incremental}) {
+            const double* dV = plan->derivative_rows(*state);
+            for (std::size_t i = 0; i < n; ++i) {
+              for (std::size_t j = 0; j < n; ++j) {
+                if (j == i) continue;
+                EXPECT_EQ(kernel.pair_volume_derivative(i, j, rewards[j]),
+                          dV[i * n + j]);
+              }
+            }
+          }
+          continue;
         }
         for (std::size_t k = 0; k < n * n; ++k) {
           EXPECT_EQ(full.pair[k], incremental.pair[k]);
@@ -535,6 +564,156 @@ TEST(DynamicModelFused, LinearEstimatedModelGradientBitIdenticalToReference) {
   }
   // The sweep's sigma must take fractional values, not only 0 and 1.
   EXPECT_GT(band_hits, 0u);
+}
+
+// ---- Truncated warm-up, compared bit for bit --------------------------------
+// The fused recursions stop warming up once a day ends in the backlog it
+// started with, and the gradient's sensitivity sweep restarts after the
+// last sigma = 0 step before the last day. Those shortcuts may change the
+// sign of a zero in the swept rows, so these cases compare bit patterns:
+// EXPECT_EQ on doubles treats +0 and -0 as equal.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+DynamicModel with_warmup(const DynamicModel& model, std::size_t days) {
+  return DynamicModel(model.arrivals(), model.capacity(),
+                      model.backlog_cost(), days);
+}
+
+/// End-of-day backlogs of the reference (exact) recursion for days
+/// 0..days-1, each read off evaluate() of the model warmed up over day + 1
+/// days. An exact backlog of 0 forces the smoothed one to 0 as well (the
+/// smoothed hinge never exceeds the exact one), so a zero here is a
+/// sigma = 0 step of every smoothed recursion.
+std::vector<double> exact_day_ends(const DynamicModel& model,
+                                   const math::Vector& rewards,
+                                   std::size_t days) {
+  std::vector<double> ends;
+  for (std::size_t d = 1; d <= days; ++d) {
+    ends.push_back(with_warmup(model, d).evaluate(rewards).backlog.back());
+  }
+  return ends;
+}
+
+/// End-of-day-0 backlog of the smoothed recursion at `mu`.
+double smoothed_day0_end(const DynamicModel& model,
+                         const math::Vector& rewards, double mu) {
+  const math::Vector arrivals = model.evaluate(rewards).arrivals;
+  double backlog = 0.0;
+  for (std::size_t i = 0; i < model.periods(); ++i) {
+    const double pre = backlog + arrivals[i] - model.capacity()[i];
+    backlog = pre <= 0.0 ? 0.0
+              : pre >= mu ? pre - 0.5 * mu
+                          : pre * pre / (2.0 * mu);
+  }
+  return backlog;
+}
+
+/// Every fused entry point against its reference, by bit pattern:
+/// smoothed cost, cost and gradient, total cost, and a run of coordinate
+/// updates against from-scratch total costs.
+void expect_fused_bits_match_reference(const DynamicModel& model,
+                                       const math::Vector& rewards,
+                                       double mu, double cap, Rng& rng,
+                                       const std::string& context) {
+  const std::size_t n = model.periods();
+  FlowState state;
+  const double reference_value = model.smoothed_cost(rewards, mu);
+  EXPECT_EQ(bits(reference_value),
+            bits(model.smoothed_cost(rewards, mu, state)))
+      << context;
+  math::Vector ref_grad(n, 0.0);
+  math::Vector fused_grad(n, 0.0);
+  model.smoothed_gradient(rewards, mu, ref_grad);
+  EXPECT_EQ(bits(reference_value),
+            bits(model.smoothed_cost_and_gradient(rewards, mu, fused_grad,
+                                                  state)))
+      << context;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(bits(ref_grad[i]), bits(fused_grad[i]))
+        << context << " grad " << i;
+  }
+  EXPECT_EQ(bits(model.total_cost(rewards)),
+            bits(model.total_cost(rewards, state)))
+      << context;
+  math::Vector moved = rewards;
+  for (int step = 0; step < 8; ++step) {
+    const std::size_t m = static_cast<std::size_t>(
+        rng.uniform() * static_cast<double>(n)) % n;
+    moved[m] = step % 4 == 0 ? 0.0 : rng.uniform(0.0, cap);
+    EXPECT_EQ(bits(model.total_cost(moved)),
+              bits(model.total_cost_with_coordinate(m, moved[m], state)))
+        << context << " coordinate " << m;
+  }
+}
+
+/// warmup_days 1 has no day before the last, so neither shortcut can fire:
+/// the whole sweep runs from db = 0. No valid model reaches that branch
+/// with more warm-up days: if every step of day 0 had pre > 0, the
+/// backlog would end the day at most sum(arrivals - capacity) < 0.
+constexpr std::size_t kWarmupDays[] = {1, 2, 3, 6};
+
+/// The horizon driver's linear model shape with evening capacity raised to
+/// 40: congestion clears before midnight, so day 0 ends empty and every
+/// later warm-up day is skipped.
+DynamicModel clearing_model() {
+  const DynamicModel base = linear_estimated_model();
+  std::vector<double> capacity = base.capacity();
+  for (std::size_t i = 30; i < capacity.size(); ++i) capacity[i] = 40.0;
+  return DynamicModel(base.arrivals(), std::move(capacity),
+                      base.backlog_cost(), base.warmup_days());
+}
+
+void expect_truncations_bitwise(const DynamicModel& base, bool clears,
+                                std::uint64_t seed) {
+  const DynamicOptimizerOptions options;
+  Rng rng(seed);
+  const std::size_t n = base.periods();
+  const double cap = 0.5 * base.reward_cap();
+  for (int trial = 0; trial < 4; ++trial) {
+    const math::Vector rewards = random_rewards(rng, n, cap);
+    const std::vector<double> ends = exact_day_ends(base, rewards, 3);
+    if (clears) {
+      // Day 0 ends in the empty queue it started with.
+      ASSERT_EQ(bits(ends[0]), bits(0.0)) << "trial " << trial;
+    } else {
+      // Day 0 carries backlog past midnight; day 1 ends where day 0 did,
+      // so the recursion is periodic only from day 1 on.
+      ASSERT_GT(ends[0], 0.0) << "trial " << trial;
+      ASSERT_EQ(bits(ends[1]), bits(ends[0])) << "trial " << trial;
+      ASSERT_EQ(bits(ends[2]), bits(ends[0])) << "trial " << trial;
+    }
+    for (const double mu : {options.mu_initial, options.mu_final}) {
+      if (!clears) {
+        ASSERT_GT(smoothed_day0_end(base, rewards, mu), 0.0)
+            << "trial " << trial << " mu " << mu;
+      }
+      for (const std::size_t days : kWarmupDays) {
+        expect_fused_bits_match_reference(
+            with_warmup(base, days), rewards, mu, cap, rng,
+            "trial " + std::to_string(trial) + " mu " + std::to_string(mu) +
+                " warmup " + std::to_string(days));
+      }
+    }
+  }
+}
+
+TEST(DynamicModelFused, WarmupSkippedAfterEmptyDayZeroIsBitwise) {
+  const DynamicModel model = clearing_model();
+  ASSERT_TRUE(model.kernel().linear());
+  expect_truncations_bitwise(model, /*clears=*/true, 61);
+}
+
+TEST(DynamicModelFused, PeriodicOnlyAfterDayOneIsBitwise) {
+  const DynamicModel model = linear_estimated_model();
+  ASSERT_TRUE(model.kernel().linear());
+  expect_truncations_bitwise(model, /*clears=*/false, 62);
+}
+
+TEST(DynamicModelFused, NonlinearTruncationsAreBitwise) {
+  const DynamicModel model = nonlinear_dynamic_model();
+  ASSERT_FALSE(model.kernel().linear());
+  expect_truncations_bitwise(model, /*clears=*/false, 63);
 }
 
 TEST(DynamicModelFused, CoordinateUpdateCostMatchesReference) {
